@@ -8,8 +8,10 @@ characters (up, right, down, left), p for passable and u for unpassable —
 that is all a controller ever knows about the world.
 
 Training data comes from the solver itself: fifteen 3x3 maps, one per
-observation label, each solved once per passable direction under a
-label-threaded action model.
+observation label, each solved once per passable direction on its plain
+action model.  Every plan is a single step, and the behaviour is read off
+it: the observation at the step's start, the step's direction, and the
+controller state that direction indexes.
 """
 
 from gridnav import (

@@ -20,7 +20,6 @@ from .executors import (
     execute,
     run_backtracking,
     run_reversing,
-    run_with_slam,
 )
 from .fixtures import (
     fixture_controller,
@@ -72,16 +71,12 @@ from .mil import (
 from .model import (
     ActionBackground,
     GroundAction,
-    LabeledAction,
-    LabeledActionBackground,
-    LabeledStateTerm,
     PlanningProblem,
     StateTerm,
     UNKNOWN,
     actions_to_text,
     generalized_example,
     instantiate_actions,
-    instantiate_labeled_actions,
     problem_from_map,
 )
 from .slam import SlamFault, SlamMap, render_slam, slam_move, slam_permits, slam_update

@@ -7,12 +7,13 @@ import argparse
 import sys
 from pathlib import Path
 
-from .executors import SOLVED
+from .executors import SOLVED, ExecutorError
 from .fixtures import fixture_map, map_fixture_names
 from .fsc import FSC
 from .grid import GridMap, MapError, generate_lake, generate_maze, parse_map, render_map, serialize_map
 from .mil import Hypothesis, LearningError
-from .slam import render_slam
+from .slam import SlamFault, render_slam
+from .solver import PlanningError
 from .workbench import (
     AGENTS,
     REPORT_HEADER,
@@ -165,7 +166,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (MapError, LearningError, OSError, ValueError) as exc:
+    except (MapError, LearningError, PlanningError, ExecutorError, SlamFault, OSError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -77,17 +77,6 @@ class BasicEnvironment:
     def restore(self, token: int) -> None:
         self._pos = self._states[token]
 
-    def playback(self, labels) -> bool:
-        """Replay action labels from the start tile; True iff every move is
-        accepted and the final position is the goal."""
-        pos = self._start
-        for label in labels:
-            nxt = pos.shifted(label)
-            if not self.grid.passable(nxt):
-                return False
-            pos = nxt
-        return pos == self._end
-
     @property
     def trail(self) -> tuple[Coord, ...]:
         return tuple(self._trail)
@@ -283,13 +272,6 @@ def run_reversing(fsc: FSC, env, cfg: ExecutorConfig) -> ExecutionResult:
             stack.append(("reverse", reverse_pair(a, q_next)))
             push_pairs(exclude=OPPOSITE[a])
     return ExecutionResult(EXHAUSTED, len(trace), tuple(trace), getattr(env, "trail", ()), slam)
-
-
-def run_with_slam(kind: str, fsc: FSC, env, cfg: ExecutorConfig) -> ExecutionResult:
-    """Run the named executor with mapping enabled: every accepted step
-    updates the map and forward moves never re-enter visited cells."""
-    slam_cfg = ExecutorConfig(kind, slam=True, step_budget=cfg.step_budget)
-    return execute(fsc, env, slam_cfg)
 
 
 def execute(fsc: FSC, env, cfg: ExecutorConfig) -> ExecutionResult:

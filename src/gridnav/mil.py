@@ -1,4 +1,4 @@
-"""A minimal meta-interpretive learner.
+"""A minimal meta-interpretive learner and the interpreter of its programs.
 
 Second-order resolution over exactly two clause templates — Identity
 ``P(x,y) :- Q(x,y)`` and Tailrec ``P(x,y) :- Q(x,z), P(z,y)`` — against a
@@ -6,9 +6,20 @@ ground background.  Every successful derivation of a training goal yields a
 substitution (template, body symbol); applying the substitutions gives the
 learned first-order program.
 
-Two backgrounds are supported: ground step actions of a map (learning a
-navigation program) and the universe of controller 4-tuples applied to
-label streams (learning a controller from behaviours).
+A background is any object with three methods over hashable states that
+have ``matches(goal)``:
+
+- ``successors(symbol, state)`` yields (payload, next state) for one body
+  symbol applied to the state;
+- ``candidates(state)`` yields (symbol, payload, next state) over every
+  symbol;
+- ``suggested_depth(initial)`` is the default derivation-depth budget.
+
+``ActionBackground`` (ground step actions of a map) and ``TupleBackground``
+(the controller-tuple universe applied to label streams) implement it.
+Two engines run over it: ``prove`` collects every simple derivation, for
+learning; ``first_derivation`` returns the first derivation of a program,
+for planning, behaviour generation and entailment.
 """
 
 from __future__ import annotations
@@ -19,7 +30,7 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from .fsc import FSC, FSCTuple, tuple_universe
-from .model import UNKNOWN, PlanningProblem
+from .model import UNKNOWN, PlanningProblem, unifies
 
 
 class Metarule(Enum):
@@ -167,11 +178,8 @@ class LabelStreams:
             (self.a_seq, other.a_seq),
             (self.q_next_seq, other.q_next_seq),
         ):
-            if len(mine) != len(theirs):
+            if len(mine) != len(theirs) or not all(map(unifies, mine, theirs)):
                 return False
-            for a, b in zip(mine, theirs):
-                if a is not UNKNOWN and b is not UNKNOWN and a != b:
-                    return False
         return True
 
 
@@ -195,6 +203,10 @@ def behaviour_goal(behaviour: Sequence[FSCTuple], initial_q: str | None = None):
     return initial, EMPTY_STREAMS
 
 
+def _unifies_with_tuple(heads: tuple, t: FSCTuple) -> bool:
+    return all(map(unifies, heads, (t.q, t.o, t.a, t.q_next)))
+
+
 class TupleBackground:
     """The controller-tuple universe as a ground background: each 4-tuple is
     one dyadic symbol that consumes a matching quadruple of stream heads."""
@@ -205,21 +217,14 @@ class TupleBackground:
         self._index = {(t.q, t.o, t.a, t.q_next): t for t in self.universe}
 
     def _matching(self, heads: tuple) -> list[FSCTuple]:
-        if not any(h is UNKNOWN for h in heads):
+        if UNKNOWN not in heads:
             t = self._index.get(heads)
             return [t] if t is not None else []
-        return [
-            t
-            for t in self.symbols
-            if all(h is UNKNOWN or h == v for h, v in zip(heads, (t.q, t.o, t.a, t.q_next)))
-        ]
+        return [t for t in self.symbols if _unifies_with_tuple(heads, t)]
 
     def successors(self, symbol: FSCTuple, state: LabelStreams):
         heads = state.heads()
-        if heads is None:
-            return
-        if all(h is UNKNOWN or h == v for h, v in
-               zip(heads, (symbol.q, symbol.o, symbol.a, symbol.q_next))):
+        if heads is not None and _unifies_with_tuple(heads, symbol):
             yield symbol, state.tails()
 
     def candidates(self, state: LabelStreams):
@@ -340,51 +345,75 @@ def learn(examples, background, *, target: str, negatives=(),
     clauses = {DefiniteClause(rule, target, sym) for rule, sym in all_subs}
     hypothesis = Hypothesis.of(clauses, target)
     if negatives:
-        hypothesis = _prune_against_negatives(
-            hypothesis, background, examples, list(negatives), depth_budget
-        )
+        hypothesis = _prune_against_negatives(hypothesis, background, examples, list(negatives))
     return hypothesis
 
 
-def entails(hypothesis: Hypothesis, background, initial, goal,
-            depth_budget: int | None = None) -> bool:
-    """Whether background plus hypothesis derives the goal from the initial
-    state.  Depth-first over the hypothesis clauses, never revisiting a
-    state along one derivation."""
-    budget = depth_budget if depth_budget is not None else background.suggested_depth(initial)
+def first_derivation(background, hypothesis: Hypothesis, initial, goal):
+    """Depth-first interpretation of the hypothesis over a background.
+
+    Clauses are tried in canonical order (Identity instances before Tailrec,
+    each by body symbol); visited states are never re-entered, so cyclic
+    maps terminate.  Returns the payload sequence of the first derivation
+    found, or None.
+    """
     identity_syms = hypothesis.body_symbols(Metarule.IDENTITY)
     tailrec_syms = hypothesis.body_symbols(Metarule.TAILREC)
 
-    def derive(state, path, depth) -> bool:
-        if depth + 1 <= budget:
-            for sym in identity_syms:
-                for _payload, nxt in background.successors(sym, state):
-                    if nxt.matches(goal):
-                        return True
-        if depth + 2 <= budget:
-            for sym in tailrec_syms:
-                for _payload, nxt in background.successors(sym, state):
-                    if nxt in path:
-                        continue
-                    if derive(nxt, path | {nxt}, depth + 1):
-                        return True
-        return False
+    def completion(state):
+        for sym in identity_syms:
+            for payload, nxt in background.successors(sym, state):
+                if nxt.matches(goal):
+                    return payload
+        return None
 
-    return derive(initial, frozenset((initial,)), 0)
+    def expansions(state):
+        out = []
+        for sym in tailrec_syms:
+            for payload, nxt in background.successors(sym, state):
+                out.append((payload, nxt))
+        return out
+
+    final = completion(initial)
+    if final is not None:
+        return [final]
+    visited = {initial}
+    frames = [[expansions(initial), 0]]
+    payloads: list = []
+    while frames:
+        cands, idx = frames[-1]
+        if idx < len(cands):
+            frames[-1][1] += 1
+            payload, nxt = cands[idx]
+            if nxt in visited:
+                continue
+            visited.add(nxt)
+            final = completion(nxt)
+            if final is not None:
+                return payloads + [payload, final]
+            payloads.append(payload)
+            frames.append([expansions(nxt), 0])
+        else:
+            frames.pop()
+            if payloads:
+                payloads.pop()
+    return None
 
 
-def _prune_against_negatives(hypothesis, background, positives, negatives, depth_budget):
+def entails(hypothesis: Hypothesis, background, initial, goal) -> bool:
+    """Whether background plus hypothesis derives the goal from the initial
+    state."""
+    return first_derivation(background, hypothesis, initial, goal) is not None
+
+
+def _prune_against_negatives(hypothesis, background, positives, negatives):
     def covers_positives(clauses) -> bool:
         trial = Hypothesis.of(clauses, hypothesis.target)
-        return all(
-            entails(trial, background, *_goal_pair(p), depth_budget) for p in positives
-        )
+        return all(entails(trial, background, *_goal_pair(p)) for p in positives)
 
     def entailed_negatives(clauses) -> int:
         trial = Hypothesis.of(clauses, hypothesis.target)
-        return sum(
-            entails(trial, background, *_goal_pair(n), depth_budget) for n in negatives
-        )
+        return sum(entails(trial, background, *_goal_pair(n)) for n in negatives)
 
     current = list(hypothesis.ordered())
     while True:

@@ -2,9 +2,10 @@
 
 A state term bundles a map identifier, a position and the tile kind at that
 position.  Instantiating a map turns each ordered pair of adjacent passable
-cells into one ground step action.  The label-threaded variant additionally
-consumes one (q, o, a, q') label quadruple per step, which is how solver
-runs are turned into controller training behaviours.
+cells into one ground step action; ``ActionBackground`` indexes them for
+resolution.  The same plain model serves planning on full maps and, on the
+3x3 observation matrices, the one-step solves that controller training
+behaviours are read off.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .fsc import observe
 from .grid import DIRECTIONS, Coord, GridMap
 
 
@@ -31,6 +31,11 @@ class _Unknown:
 
 
 UNKNOWN = _Unknown()
+
+
+def unifies(a, b) -> bool:
+    """Whether two term fields unify: equal, or either one UNKNOWN."""
+    return a is UNKNOWN or b is UNKNOWN or a == b
 
 
 def action_name(direction: str) -> str:
@@ -64,55 +69,17 @@ class StateTerm:
     def matches(self, other: "StateTerm") -> bool:
         """Fieldwise unification against another state term; UNKNOWN fields
         on either side match anything."""
-        if self.map_id != other.map_id:
-            return False
-        if self.pos is not UNKNOWN and other.pos is not UNKNOWN and self.pos != other.pos:
-            return False
-        if self.tile is not UNKNOWN and other.tile is not UNKNOWN and self.tile != other.tile:
-            return False
-        return True
+        return (
+            self.map_id == other.map_id
+            and unifies(self.pos, other.pos)
+            and unifies(self.tile, other.tile)
+        )
 
     def is_ground(self) -> bool:
         return self.pos is not UNKNOWN and self.tile is not UNKNOWN
 
     def __repr__(self) -> str:
         return f"[{self.map_id},{_term(self.pos)},{_term(self.tile)}]"
-
-
-@dataclass(frozen=True)
-class LabeledStateTerm:
-    """State term extended with four label streams, consumed head-first in
-    lockstep: one (q, o, a, q') quadruple per action applied."""
-
-    map_id: str
-    pos: Coord | _Unknown
-    tile: str | _Unknown
-    q_seq: tuple
-    o_seq: tuple
-    a_seq: tuple
-    q_next_seq: tuple
-
-    def stream_lengths(self) -> tuple[int, int, int, int]:
-        return (len(self.q_seq), len(self.o_seq), len(self.a_seq), len(self.q_next_seq))
-
-    def matches(self, other: "LabeledStateTerm") -> bool:
-        if self.map_id != other.map_id:
-            return False
-        for mine, theirs in ((self.pos, other.pos), (self.tile, other.tile)):
-            if mine is not UNKNOWN and theirs is not UNKNOWN and mine != theirs:
-                return False
-        for mine, theirs in (
-            (self.q_seq, other.q_seq),
-            (self.o_seq, other.o_seq),
-            (self.a_seq, other.a_seq),
-            (self.q_next_seq, other.q_next_seq),
-        ):
-            if len(mine) != len(theirs):
-                return False
-            for a, b in zip(mine, theirs):
-                if a is not UNKNOWN and b is not UNKNOWN and a != b:
-                    return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -129,55 +96,6 @@ class GroundAction:
 
     def as_line(self) -> str:
         return f"{self.name}({self.input!r},{self.output!r})."
-
-
-@dataclass(frozen=True)
-class LabeledAction:
-    """Label-threaded step between two adjacent passable cells.
-
-    Applying it consumes one quadruple from the state's label streams; the
-    observation consumed must equal the observation at the input cell and
-    the action label consumed must equal this action's own direction.
-    """
-
-    name: str
-    input_pos: Coord
-    input_tile: str
-    output_pos: Coord
-    output_tile: str
-    observation: str
-
-    def direction(self) -> str:
-        return direction_of(self.name)
-
-    def apply(self, state: LabeledStateTerm) -> tuple[LabeledStateTerm, tuple] | None:
-        """Apply to a labeled state; returns (next state, consumed quadruple)
-        or None when inapplicable."""
-        if state.pos is not UNKNOWN and state.pos != self.input_pos:
-            return None
-        if state.tile is not UNKNOWN and state.tile != self.input_tile:
-            return None
-        if not all(state.stream_lengths()):
-            return None
-        q_head = state.q_seq[0]
-        o_head = state.o_seq[0]
-        a_head = state.a_seq[0]
-        q_next_head = state.q_next_seq[0]
-        if o_head is not UNKNOWN and o_head != self.observation:
-            return None
-        if a_head is not UNKNOWN and a_head != self.direction():
-            return None
-        consumed = (q_head, self.observation, self.direction(), q_next_head)
-        nxt = LabeledStateTerm(
-            state.map_id,
-            self.output_pos,
-            self.output_tile,
-            state.q_seq[1:],
-            state.o_seq[1:],
-            state.a_seq[1:],
-            state.q_next_seq[1:],
-        )
-        return nxt, consumed
 
 
 @dataclass(frozen=True)
@@ -204,23 +122,6 @@ def instantiate_actions(grid: GridMap) -> tuple[GroundAction, ...]:
                 )
             )
     actions.sort(key=lambda a: (a.name, a.input.pos))
-    return tuple(actions)
-
-
-def instantiate_labeled_actions(grid: GridMap) -> tuple[LabeledAction, ...]:
-    """Label-threaded twin of instantiate_actions: same transition structure,
-    one labeled action per plain one."""
-    actions = []
-    for cell in grid.passable_cells():
-        obs = observe(grid, cell)
-        for d, nxt in grid.neighbors(cell):
-            actions.append(
-                LabeledAction(
-                    action_name(d), cell, grid.tile_at(cell),
-                    nxt, grid.tile_at(nxt), obs,
-                )
-            )
-    actions.sort(key=lambda a: (a.name, a.input_pos))
     return tuple(actions)
 
 
@@ -286,37 +187,4 @@ class ActionBackground:
                 yield symbol, act, nxt
 
     def suggested_depth(self, _initial=None) -> int:
-        return 4 * self._position_count
-
-
-class LabeledActionBackground:
-    """Label-threaded twin of ActionBackground over the same map."""
-
-    def __init__(self, actions: Sequence[LabeledAction]):
-        if not actions:
-            raise ValueError("background must contain at least one labeled action")
-        self._by_symbol: dict[str, list[LabeledAction]] = {}
-        positions: set[Coord] = set()
-        for a in actions:
-            self._by_symbol.setdefault(a.name, []).append(a)
-            positions.add(a.input_pos)
-            positions.add(a.output_pos)
-        self.symbols = tuple(sorted(self._by_symbol))
-        self._position_count = len(positions)
-
-    def successors(self, symbol: str, state: LabeledStateTerm):
-        for act in self._by_symbol.get(symbol, []):
-            applied = act.apply(state)
-            if applied is not None:
-                nxt, consumed = applied
-                yield (act, consumed), nxt
-
-    def candidates(self, state: LabeledStateTerm):
-        for symbol in self.symbols:
-            for payload, nxt in self.successors(symbol, state):
-                yield symbol, payload, nxt
-
-    def suggested_depth(self, initial: LabeledStateTerm | None = None) -> int:
-        if initial is not None:
-            return max(initial.stream_lengths()) + 1
         return 4 * self._position_count

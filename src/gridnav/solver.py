@@ -7,17 +7,14 @@ from dataclasses import dataclass
 
 from .fsc import FSCTuple, OBSERVATION_LABELS, STATE_FOR_ACTION, observe
 from .grid import DIRECTIONS, FLOOR, WALL, Coord, GridMap
-from .mil import Hypothesis, Metarule
+from .mil import Hypothesis, first_derivation
 from .model import (
     UNKNOWN,
     ActionBackground,
     GroundAction,
-    LabeledActionBackground,
-    LabeledStateTerm,
     PlanningProblem,
     StateTerm,
     instantiate_actions,
-    instantiate_labeled_actions,
     problem_from_map,
 )
 
@@ -46,57 +43,6 @@ class Plan:
         return ",".join(self.labels)
 
 
-def _search(background, hypothesis: Hypothesis, initial, goal):
-    """Depth-first interpretation of the hypothesis over a background.
-
-    Clauses are tried in canonical order (Identity instances before Tailrec,
-    each by body symbol); visited states are never re-entered, so cyclic
-    maps terminate.  Returns the payload sequence of the first derivation
-    found, or None.
-    """
-    identity_syms = hypothesis.body_symbols(Metarule.IDENTITY)
-    tailrec_syms = hypothesis.body_symbols(Metarule.TAILREC)
-
-    def completion(state):
-        for sym in identity_syms:
-            for payload, nxt in background.successors(sym, state):
-                if nxt.matches(goal):
-                    return payload
-        return None
-
-    def expansions(state):
-        out = []
-        for sym in tailrec_syms:
-            for payload, nxt in background.successors(sym, state):
-                out.append((payload, nxt))
-        return out
-
-    final = completion(initial)
-    if final is not None:
-        return [final]
-    visited = {initial}
-    frames = [[expansions(initial), 0]]
-    payloads: list = []
-    while frames:
-        cands, idx = frames[-1]
-        if idx < len(cands):
-            frames[-1][1] += 1
-            payload, nxt = cands[idx]
-            if nxt in visited:
-                continue
-            visited.add(nxt)
-            final = completion(nxt)
-            if final is not None:
-                return payloads + [payload, final]
-            payloads.append(payload)
-            frames.append([expansions(nxt), 0])
-        else:
-            frames.pop()
-            if payloads:
-                payloads.pop()
-    return None
-
-
 def solve(grid: GridMap, hypothesis: Hypothesis, problem: PlanningProblem | None = None) -> Plan:
     """Plan over the map's instantiated actions with a learned program.
 
@@ -114,7 +60,7 @@ def solve(grid: GridMap, hypothesis: Hypothesis, problem: PlanningProblem | None
     if problem.initial == problem.goal:
         raise PlanningError("start equals goal: every clause applies at least one action")
     background = ActionBackground(instantiate_actions(grid))
-    payloads = _search(background, hypothesis, problem.initial, problem.goal)
+    payloads = first_derivation(background, hypothesis, problem.initial, problem.goal)
     if payloads is None:
         raise UnsolvableError(f"no derivation reaches the goal on map {grid.id!r}")
     actions: tuple[GroundAction, ...] = tuple(payloads)
@@ -154,40 +100,33 @@ def observation_matrices() -> tuple[GridMap, ...]:
 
 
 def generate_behaviours(matrices, hypothesis: Hypothesis) -> tuple[tuple[FSCTuple, ...], ...]:
-    """Solve each matrix once per passable direction under the label-threaded
-    action model, one behaviour per solve.
+    """Solve each matrix once per passable direction on its plain action
+    model, and read one behaviour off each plan.
 
-    Each solve threads singleton label streams, so exactly one quadruple is
-    consumed: its observation comes from the matrix, its action from the step
-    taken.  The initial controller state is q0 and an unbound next state is
-    anchored to the state indexed by the action taken.
+    Each solve runs from the center to one passable neighbor.  Every step of
+    the plan gives one tuple (q, o, a, q'): o is the observation at the
+    step's input cell, a the step's direction, and q' the state indexed by
+    a; q is q0 on the first step and the previous q' after it.  A matrix's
+    neighbors touch only the center, so each plan is one step long.
     """
+    center = Coord(1, 1)
     behaviours = []
     for matrix in matrices:
-        center = Coord(1, 1)
-        label = observe(matrix, center)
-        background = LabeledActionBackground(instantiate_labeled_actions(matrix))
-        for ch, d in zip(label, DIRECTIONS):
+        background = ActionBackground(instantiate_actions(matrix))
+        initial = StateTerm(matrix.id, center, matrix.tile_at(center))
+        for ch, d in zip(observe(matrix, center), DIRECTIONS):
             if ch != "p":
                 continue
             goal_pos = center.shifted(d)
-            initial = LabeledStateTerm(
-                matrix.id, center, matrix.tile_at(center),
-                ("q0",), (UNKNOWN,), (UNKNOWN,), (UNKNOWN,),
-            )
-            goal = LabeledStateTerm(
-                matrix.id, goal_pos, matrix.tile_at(goal_pos), (), (), (), (),
-            )
-            payloads = _search(background, hypothesis, initial, goal)
-            if payloads is None:
+            goal = StateTerm(matrix.id, goal_pos, matrix.tile_at(goal_pos))
+            actions = first_derivation(background, hypothesis, initial, goal)
+            if actions is None:
                 raise UnsolvableError(f"matrix {matrix.id!r} has no {d} behaviour")
+            q = "q0"
             steps = []
-            for _action, consumed in payloads:
-                q, o, a, q_next = consumed
-                if q is UNKNOWN:
-                    q = steps[-1].q_next if steps else "q0"
-                if q_next is UNKNOWN:
-                    q_next = STATE_FOR_ACTION[a]
-                steps.append(FSCTuple(q, o, a, q_next))
+            for act in actions:
+                a = act.direction()
+                steps.append(FSCTuple(q, observe(matrix, act.input.pos), a, STATE_FOR_ACTION[a]))
+                q = STATE_FOR_ACTION[a]
             behaviours.append(tuple(steps))
     return tuple(behaviours)

@@ -72,9 +72,9 @@ def controller_examples(behaviours):
 def learn_controller(solver: Hypothesis, matrices=None) -> FSC:
     """Learn a controller from a navigation program.
 
-    Generates the observation matrices, solves each under the label-threaded
-    model to get behaviours, learns a clause set over the tuple universe,
-    and projects it onto its ground 4-tuples.
+    Generates the observation matrices, solves each on its plain action
+    model and reads behaviours off the plans, learns a clause set over the
+    tuple universe, and projects it onto its ground 4-tuples.
     """
     if matrices is None:
         matrices = observation_matrices()

@@ -1,0 +1,31 @@
+"""The narrative demos 01-04 run to completion against the public API.
+
+Demo 05 reproduces benchmark rows and takes seconds, so it is left out.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted(p.name for p in (ROOT / "demos").glob("0[1-4]_*.py"))
+
+
+def test_four_demos_found():
+    assert len(DEMOS) == 4
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        capture_output=True, text=True, cwd=ROOT, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr

@@ -19,9 +19,9 @@ from gridnav import (
     generate_maze,
     is_chained,
     parse_map,
+    playback,
     run_backtracking,
     run_reversing,
-    run_with_slam,
 )
 
 
@@ -69,9 +69,6 @@ class SpyEnvironment:
         self.restore_calls += 1
         self.inner.restore(token)
 
-    def playback(self, labels):
-        return self.inner.playback(labels)
-
 
 class TestBasicEnvironment:
     def test_reset_returns_initial_observation(self, maze_a):
@@ -103,10 +100,9 @@ class TestBasicEnvironment:
     def test_playback(self, maze_a, solver_hypothesis):
         from gridnav import solve
 
-        env = BasicEnvironment(maze_a)
         plan = solve(maze_a, solver_hypothesis)
-        assert env.playback(plan.labels)
-        assert not env.playback(plan.labels[:-1])
+        assert playback(maze_a, plan.labels)[0]
+        assert not playback(maze_a, plan.labels[:-1])[0]
 
     def test_requires_endpoints(self):
         from gridnav import MapError, zero_map
@@ -138,10 +134,9 @@ class TestBacktracking:
         assert result.steps == 1
 
     def test_trace_is_chained_and_replays(self, learned_controller, maze_b):
-        env = BasicEnvironment(maze_b)
-        result = run_backtracking(learned_controller, env, ExecutorConfig())
+        result = run_backtracking(learned_controller, BasicEnvironment(maze_b), ExecutorConfig())
         assert is_chained([t.as_tuple() for t in result.trace])
-        assert env.playback([t.a for t in result.trace])
+        assert playback(maze_b, [t.a for t in result.trace])[0]
 
     def test_needs_checkpoint_support(self, learned_controller, maze_a):
         env = SpyEnvironment(BasicEnvironment(maze_a), supports_checkpoint=False)
@@ -182,9 +177,8 @@ class TestReversing:
         assert is_chained([t.as_tuple() for t in result.trace])
 
     def test_solved_trace_replays(self, learned_controller, maze_b):
-        env = BasicEnvironment(maze_b)
-        result = run_reversing(learned_controller, env, ExecutorConfig(REVERSING))
-        assert env.playback([t.a for t in result.trace])
+        result = run_reversing(learned_controller, BasicEnvironment(maze_b), ExecutorConfig(REVERSING))
+        assert playback(maze_b, [t.a for t in result.trace])[0]
 
     def test_exhausts_cleanly_without_matching_tuples(self, controller_a, maze_b):
         result = run_reversing(controller_a, BasicEnvironment(maze_b), ExecutorConfig(REVERSING))
@@ -233,14 +227,13 @@ class TestSlamVariants:
         maze = generate_maze(9, 9, seed=11)
         for kind in (BACKTRACKING, REVERSING):
             plain = execute(learned_controller, BasicEnvironment(maze), ExecutorConfig(kind))
-            slammed = run_with_slam(kind, learned_controller, BasicEnvironment(maze), ExecutorConfig(kind))
+            slammed = execute(
+                learned_controller, BasicEnvironment(maze), ExecutorConfig(kind, slam=True)
+            )
             assert plain.outcome == slammed.outcome == SOLVED
+            assert plain.slam_map is None
+            assert slammed.slam_map is not None
             assert [t.as_tuple() for t in plain.trace] == [t.as_tuple() for t in slammed.trace]
-
-    def test_run_with_slam_dispatches(self, learned_controller, maze_a):
-        result = run_with_slam(BACKTRACKING, learned_controller, BasicEnvironment(maze_a), ExecutorConfig())
-        assert result.outcome == SOLVED
-        assert result.slam_map is not None
 
 
 class TestModelFreedom:

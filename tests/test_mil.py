@@ -156,6 +156,14 @@ class TestLearn:
         assert entails(hypothesis, background, *positive)
         assert not entails(hypothesis, background, *negative)
 
+    def test_entails_large_maze_within_recursion_limit(self, solver_hypothesis):
+        from gridnav import generate_maze
+
+        maze = generate_maze(201, 201, seed=1)
+        problem = problem_from_map(maze)
+        background = ActionBackground(instantiate_actions(maze))
+        assert entails(solver_hypothesis, background, problem.initial, problem.goal)
+
 
 class TestHypothesisText:
     def test_round_trip(self):

@@ -10,14 +10,10 @@ from gridnav import (
     generalized_example,
     generate_maze,
     instantiate_actions,
-    instantiate_labeled_actions,
-    observation_matrices,
-    observe,
     parse_map,
     problem_from_map,
     zero_map,
 )
-from gridnav.model import LabeledStateTerm
 
 from test_grid import adjacency_edges
 
@@ -76,52 +72,6 @@ class TestInstantiateActions:
             dx = act.output.pos.x - act.input.pos.x
             dy = act.output.pos.y - act.input.pos.y
             assert (dx, dy) == deltas[act.name]
-
-
-class TestLabeledActions:
-    def test_bijection_with_plain_actions(self, maze_a):
-        plain = {(a.name, a.input.pos, a.output.pos) for a in instantiate_actions(maze_a)}
-        labeled = {(a.name, a.input_pos, a.output_pos) for a in instantiate_labeled_actions(maze_a)}
-        assert plain == labeled
-
-    def test_consumes_observation_and_action(self):
-        grid = zero_map()
-        act = next(
-            a for a in instantiate_labeled_actions(grid)
-            if a.name == "step_right" and a.input_pos == Coord(0, 0)
-        )
-        state = LabeledStateTerm(
-            "zero", Coord(0, 0), "f", ("q0",), (UNKNOWN,), (UNKNOWN,), (UNKNOWN,)
-        )
-        nxt, consumed = act.apply(state)
-        assert consumed == ("q0", observe(grid, Coord(0, 0)), "right", UNKNOWN)
-        assert consumed[1] == "ppuu"
-        assert nxt.pos == Coord(1, 0)
-        assert nxt.stream_lengths() == (0, 0, 0, 0)
-
-    def test_mismatched_ground_observation_rejected(self):
-        grid = zero_map()
-        act = next(
-            a for a in instantiate_labeled_actions(grid)
-            if a.name == "step_right" and a.input_pos == Coord(0, 0)
-        )
-        state = LabeledStateTerm(
-            "zero", Coord(0, 0), "f", ("q0",), ("uupp",), ("right",), ("q1",)
-        )
-        assert act.apply(state) is None
-
-    def test_empty_streams_inapplicable(self):
-        grid = zero_map()
-        act = instantiate_labeled_actions(grid)[0]
-        state = LabeledStateTerm("zero", act.input_pos, act.input_tile, (), (), (), ())
-        assert act.apply(state) is None
-
-    def test_single_passable_direction_matrix(self):
-        matrix = next(m for m in observation_matrices() if m.id == "obs_upuu")
-        center = Coord(1, 1)
-        from_center = [a for a in instantiate_labeled_actions(matrix) if a.input_pos == center]
-        assert [a.name for a in from_center] == ["step_right"]
-        assert from_center[0].observation == "upuu"
 
 
 class TestProblems:

@@ -155,6 +155,14 @@ class TestGenerateBehaviours:
                 assert t.q_next == STATE_FOR_ACTION[t.a]
             assert is_chained(behaviour)
 
+    def test_missing_step_right_names_matrix_and_direction(self, solver_hypothesis):
+        from gridnav import Hypothesis
+
+        clauses = [c for c in solver_hypothesis.clauses if c.body_symbol != "step_right"]
+        matrix = [m for m in observation_matrices() if m.id == "obs_pppp"]
+        with pytest.raises(UnsolvableError, match=r"obs_pppp.*right"):
+            generate_behaviours(matrix, Hypothesis.of(clauses, "s"))
+
     def test_deterministic(self, solver_hypothesis):
         first = generate_behaviours(observation_matrices(), solver_hypothesis)
         second = generate_behaviours(observation_matrices(), solver_hypothesis)

@@ -60,7 +60,7 @@ class TestExperiments:
         assert lines[1].startswith("maze-000,solver,solved,")
 
     def test_solved_traces_replay(self, solver_hypothesis, learned_controller):
-        from gridnav import BasicEnvironment
+        from gridnav import playback
 
         spec = ExperimentSpec("fsc-re", "maze", 9, 9, 3, seed=7)
         report = run_experiment(spec, solver=solver_hypothesis, controller=learned_controller)
@@ -68,7 +68,7 @@ class TestExperiments:
         for record in report.records:
             run = report.outcomes[record.instance]
             assert record.outcome == "solved"
-            assert BasicEnvironment(instances[record.instance]).playback(run.labels)
+            assert playback(instances[record.instance], run.labels)[0]
 
     def test_unknown_agent(self, maze_a):
         with pytest.raises(ValueError):
@@ -167,6 +167,14 @@ class TestCli:
         assert result.returncode == 0
         assert "solver" in result.stdout
         assert csv_path.read_text().startswith("instance,agent,outcome,steps")
+
+    def test_learn_fsc_incomplete_solver_is_an_error(self, tmp_path):
+        solver = tmp_path / "solver.pl"
+        solver.write_text("s(A,B) :- step_up(A,B).\n")
+        result = run_cli("learn-fsc", str(solver))
+        assert result.returncode == 2
+        assert "error:" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_missing_map(self, tmp_path):
         solver = tmp_path / "solver.pl"
