@@ -55,7 +55,6 @@ from .grid import (
 )
 from .mil import (
     DefiniteClause,
-    DepthBudgetError,
     Hypothesis,
     LabelStreams,
     LearningError,

@@ -4,6 +4,7 @@ benchmark reproduction."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -105,10 +106,7 @@ def _cmd_experiment(args) -> int:
     else:
         spec = ExperimentSpec.desk_lake(args.agent, seed=args.seed, full=args.full)
     if args.budget is not None:
-        spec = ExperimentSpec(
-            spec.agent, spec.environment, spec.width, spec.height,
-            spec.instances, spec.seed, args.budget,
-        )
+        spec = dataclasses.replace(spec, step_budget=args.budget)
     report = run_experiment(spec)
     print(REPORT_HEADER)
     print(report.table_row())

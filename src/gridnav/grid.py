@@ -122,8 +122,11 @@ def parse_map(text: str, map_id: str, *, require_endpoints: bool = True) -> Grid
 
     Reports ragged rows, unknown characters and missing or duplicated
     start/end tiles with their row/column position (rows counted from the
-    top of the file, columns from the left, both 0-based).
+    top of the file, columns from the left, both 0-based).  One leading
+    byte-order mark is dropped and CRLF line ends read as LF; any other
+    carriage return is a bad character.
     """
+    text = text.removeprefix("\ufeff").replace("\r\n", "\n")
     if not text.strip():
         raise MapError(f"map {map_id!r}: empty map text")
     rows = text.split("\n")

@@ -6,20 +6,17 @@ ground background.  Every successful derivation of a training goal yields a
 substitution (template, body symbol); applying the substitutions gives the
 learned first-order program.
 
-A background is any object with three methods over hashable states that
-have ``matches(goal)``:
+A background is any object with one method over hashable states that have
+``matches(goal)``: ``successors(state)`` yields (symbol, payload, next
+state) for every body symbol that applies to the state, in sorted symbol
+order (the order of ``Hypothesis.ordered``).  ``ActionBackground`` (ground
+step actions of a map) and ``TupleBackground`` (the controller-tuple
+universe applied to label streams) implement it.
 
-- ``successors(symbol, state)`` yields (payload, next state) for one body
-  symbol applied to the state;
-- ``candidates(state)`` yields (symbol, payload, next state) over every
-  symbol;
-- ``suggested_depth(initial)`` is the default derivation-depth budget.
-
-``ActionBackground`` (ground step actions of a map) and ``TupleBackground``
-(the controller-tuple universe applied to label streams) implement it.
 Two engines run over it: ``prove`` collects every simple derivation, for
 learning; ``first_derivation`` returns the first derivation of a program,
-for planning, behaviour generation and entailment.
+for planning, behaviour generation and entailment.  Neither re-enters a
+state on one derivation, so both halt without a depth budget.
 """
 
 from __future__ import annotations
@@ -37,11 +34,6 @@ class Metarule(Enum):
     IDENTITY = "identity"
     TAILREC = "tailrec"
 
-    def schema(self) -> str:
-        if self is Metarule.IDENTITY:
-            return "P(x,y) :- Q(x,y)"
-        return "P(x,y) :- Q(x,z), P(z,y)"
-
 
 METARULES = (Metarule.IDENTITY, Metarule.TAILREC)
 
@@ -52,10 +44,6 @@ class LearningError(Exception):
 
 class UnlearnableError(LearningError):
     """No derivation exists for some training example."""
-
-
-class DepthBudgetError(LearningError):
-    """The derivation-depth budget ran out before any refutation."""
 
 
 def _symbol_key(symbol) -> str:
@@ -222,23 +210,13 @@ class TupleBackground:
             return [t] if t is not None else []
         return [t for t in self.symbols if _unifies_with_tuple(heads, t)]
 
-    def successors(self, symbol: FSCTuple, state: LabelStreams):
-        heads = state.heads()
-        if heads is not None and _unifies_with_tuple(heads, symbol):
-            yield symbol, state.tails()
-
-    def candidates(self, state: LabelStreams):
+    def successors(self, state: LabelStreams):
         heads = state.heads()
         if heads is None:
             return
         tails = state.tails()
         for t in self._matching(heads):
             yield t, t, tails
-
-    def suggested_depth(self, initial: LabelStreams | None = None) -> int:
-        if initial is None:
-            return 8
-        return max(1, len(initial.o_seq)) + 1
 
 
 class _Frame:
@@ -252,44 +230,31 @@ class _Frame:
         self.success = False
 
 
-def prove(initial, goal, background, depth_budget: int | None = None) -> frozenset:
+def prove(initial, goal, background) -> frozenset:
     """Enumerate all successful simple derivations of the goal and return the
     metasubstitutions (metarule, body symbol) they use.
 
-    A derivation never revisits a state it already passed through, so cyclic
-    state graphs terminate; ``depth_budget`` caps actions per derivation.
-    Returns the empty set when the goal is unsatisfiable; raises
-    DepthBudgetError when the budget cut off every candidate derivation.
+    A derivation never revisits a state it already passed through, so every
+    derivation is finite and cyclic state graphs terminate.  Returns the
+    empty set when the goal is unsatisfiable.
     """
-    budget = depth_budget if depth_budget is not None else background.suggested_depth(initial)
-    if budget < 1:
-        raise ValueError("depth budget must be positive")
     metasubs: set[tuple[Metarule, object]] = set()
-    budget_hit = False
 
-    def make_frame(state, entered_via, depth) -> _Frame:
-        nonlocal budget_hit
+    def make_frame(state, entered_via) -> _Frame:
         grouped: dict[object, set] = {}
-        for sym, _payload, nxt in background.candidates(state):
+        for sym, _payload, nxt in background.successors(state):
             grouped.setdefault(nxt, set()).add(sym)
-        frame = _Frame(state, entered_via, [])
-        if depth + 1 <= budget:
-            for nxt, syms in grouped.items():
-                if nxt.matches(goal):
-                    for sym in syms:
-                        metasubs.add((Metarule.IDENTITY, sym))
-                    frame.success = True
-        elif grouped:
-            budget_hit = True
-        if depth + 2 <= budget:
-            frame.children = list(grouped.items())
-        elif grouped:
-            budget_hit = True
+        frame = _Frame(state, entered_via, list(grouped.items()))
+        for nxt, syms in frame.children:
+            if nxt.matches(goal):
+                metasubs.update((Metarule.IDENTITY, sym) for sym in syms)
+                frame.success = True
         return frame
 
-    stack = [make_frame(initial, None, 0)]
+    # A frame's success propagates to every frame beneath it on the stack,
+    # so metasubs stays empty unless the root succeeds.
+    stack = [make_frame(initial, None)]
     path = {initial}
-    root_success = False
     while stack:
         top = stack[-1]
         if top.idx < len(top.children):
@@ -298,22 +263,14 @@ def prove(initial, goal, background, depth_budget: int | None = None) -> frozens
             if nxt in path:
                 continue
             path.add(nxt)
-            stack.append(make_frame(nxt, syms, len(stack)))
+            stack.append(make_frame(nxt, syms))
         else:
             stack.pop()
             path.discard(top.state)
-            if top.success:
-                if stack:
-                    for sym in top.entered_via:
-                        metasubs.add((Metarule.TAILREC, sym))
-                    stack[-1].success = True
-                else:
-                    root_success = True
-    if root_success:
-        return frozenset(metasubs)
-    if budget_hit:
-        raise DepthBudgetError("depth budget exhausted before any refutation")
-    return frozenset()
+            if top.success and stack:
+                metasubs.update((Metarule.TAILREC, sym) for sym in top.entered_via)
+                stack[-1].success = True
+    return frozenset(metasubs)
 
 
 def _goal_pair(example):
@@ -323,8 +280,7 @@ def _goal_pair(example):
     return initial, goal
 
 
-def learn(examples, background, *, target: str, negatives=(),
-          depth_budget: int | None = None) -> Hypothesis:
+def learn(examples, background, *, target: str, negatives=()) -> Hypothesis:
     """Learn a hypothesis covering every positive example.
 
     Collects the metasubstitutions of all successful derivations of each
@@ -338,7 +294,7 @@ def learn(examples, background, *, target: str, negatives=(),
     all_subs: set[tuple[Metarule, object]] = set()
     for example in examples:
         initial, goal = _goal_pair(example)
-        subs = prove(initial, goal, background, depth_budget)
+        subs = prove(initial, goal, background)
         if not subs:
             raise UnlearnableError(f"no derivation exists for example {example!r}")
         all_subs |= subs
@@ -352,33 +308,31 @@ def learn(examples, background, *, target: str, negatives=(),
 def first_derivation(background, hypothesis: Hypothesis, initial, goal):
     """Depth-first interpretation of the hypothesis over a background.
 
-    Clauses are tried in canonical order (Identity instances before Tailrec,
-    each by body symbol); visited states are never re-entered, so cyclic
-    maps terminate.  Returns the payload sequence of the first derivation
-    found, or None.
+    Each visited state costs one ``background.successors`` call, split by
+    clause: an Identity completion reaching the goal is tried before any
+    Tailrec expansion, each in the background's symbol order (the
+    hypothesis's canonical clause order).  Visited states are never
+    re-entered, so cyclic maps terminate.  Returns the payload sequence of
+    the first derivation found, or None.
     """
-    identity_syms = hypothesis.body_symbols(Metarule.IDENTITY)
-    tailrec_syms = hypothesis.body_symbols(Metarule.TAILREC)
+    identity_syms = set(hypothesis.body_symbols(Metarule.IDENTITY))
+    tailrec_syms = set(hypothesis.body_symbols(Metarule.TAILREC))
 
-    def completion(state):
-        for sym in identity_syms:
-            for payload, nxt in background.successors(sym, state):
-                if nxt.matches(goal):
-                    return payload
-        return None
+    def expand(state):
+        """(completing payload or None, Tailrec (payload, next state) list)."""
+        expansions = []
+        for sym, payload, nxt in background.successors(state):
+            if sym in identity_syms and nxt.matches(goal):
+                return payload, expansions
+            if sym in tailrec_syms:
+                expansions.append((payload, nxt))
+        return None, expansions
 
-    def expansions(state):
-        out = []
-        for sym in tailrec_syms:
-            for payload, nxt in background.successors(sym, state):
-                out.append((payload, nxt))
-        return out
-
-    final = completion(initial)
+    final, cands = expand(initial)
     if final is not None:
         return [final]
     visited = {initial}
-    frames = [[expansions(initial), 0]]
+    frames = [[cands, 0]]
     payloads: list = []
     while frames:
         cands, idx = frames[-1]
@@ -388,11 +342,11 @@ def first_derivation(background, hypothesis: Hypothesis, initial, goal):
             if nxt in visited:
                 continue
             visited.add(nxt)
-            final = completion(nxt)
+            final, nxt_cands = expand(nxt)
             if final is not None:
                 return payloads + [payload, final]
             payloads.append(payload)
-            frames.append([expansions(nxt), 0])
+            frames.append([nxt_cands, 0])
         else:
             frames.pop()
             if payloads:

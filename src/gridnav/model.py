@@ -42,7 +42,6 @@ def action_name(direction: str) -> str:
     return f"step_{direction}"
 
 
-ACTION_NAMES = tuple(action_name(d) for d in DIRECTIONS)
 _DIRECTION_FOR_NAME = {action_name(d): d for d in DIRECTIONS}
 
 
@@ -74,9 +73,6 @@ class StateTerm:
             and unifies(self.pos, other.pos)
             and unifies(self.tile, other.tile)
         )
-
-    def is_ground(self) -> bool:
-        return self.pos is not UNKNOWN and self.tile is not UNKNOWN
 
     def __repr__(self) -> str:
         return f"[{self.map_id},{_term(self.pos)},{_term(self.tile)}]"
@@ -153,38 +149,23 @@ def actions_to_text(actions: Iterable[GroundAction]) -> str:
 class ActionBackground:
     """Ground step actions of one map, indexed for resolution.
 
-    Symbols are the action predicate names present; ``successors`` yields the
-    (action, next state) pairs whose input state unifies with the query.
+    Symbols are the action predicate names present.  ``successors(state)``
+    yields (name, action, next state) for every action whose input state
+    unifies with the query, in symbol order: through an index by input
+    position, or over all actions when the position is UNKNOWN.
     """
 
     def __init__(self, actions: Sequence[GroundAction]):
         if not actions:
             raise ValueError("background must contain at least one ground action")
-        self._by_symbol: dict[str, list[GroundAction]] = {}
-        self._by_symbol_pos: dict[tuple[str, Coord], GroundAction] = {}
-        positions: set[Coord] = set()
-        for a in actions:
-            self._by_symbol.setdefault(a.name, []).append(a)
-            self._by_symbol_pos[(a.name, a.input.pos)] = a
-            positions.add(a.input.pos)
-            positions.add(a.output.pos)
-        self.symbols = tuple(sorted(self._by_symbol))
-        self._position_count = len(positions)
+        self._actions = sorted(actions, key=lambda a: a.name)
+        self._by_pos: dict[Coord, list[GroundAction]] = {}
+        for a in self._actions:
+            self._by_pos.setdefault(a.input.pos, []).append(a)
+        self.symbols = tuple(sorted({a.name for a in actions}))
 
-    def successors(self, symbol: str, state: StateTerm):
-        if state.pos is not UNKNOWN:
-            act = self._by_symbol_pos.get((symbol, state.pos))
-            cands = [act] if act is not None else []
-        else:
-            cands = self._by_symbol.get(symbol, [])
-        for act in cands:
+    def successors(self, state: StateTerm):
+        acts = self._actions if state.pos is UNKNOWN else self._by_pos.get(state.pos, ())
+        for act in acts:
             if act.input.matches(state):
-                yield act, act.output
-
-    def candidates(self, state: StateTerm):
-        for symbol in self.symbols:
-            for act, nxt in self.successors(symbol, state):
-                yield symbol, act, nxt
-
-    def suggested_depth(self, _initial=None) -> int:
-        return 4 * self._position_count
+                yield act.name, act, act.output

@@ -75,6 +75,16 @@ class TestParse:
         with pytest.raises(MapError, match="empty"):
             parse_map("", "bad")
 
+    def test_crlf_line_ends_parse_as_lf(self):
+        assert parse_map("sf\r\nfe\r\n", "tiny") == parse_map("sf\nfe\n", "tiny")
+
+    def test_leading_bom_is_dropped(self):
+        assert parse_map("\ufeffsf\r\nfe", "tiny") == parse_map("sf\nfe", "tiny")
+
+    def test_stray_carriage_return_is_an_error(self):
+        with pytest.raises(MapError, match="row 0, column 1"):
+            parse_map("s\rf\nfe", "bad")
+
     def test_rows_fill_top_first(self):
         grid = parse_map("sw\nfe", "orient")
         assert grid.tile_at(Coord(0, 1)) == "s"

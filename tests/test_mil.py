@@ -5,7 +5,6 @@ import pytest
 from gridnav import (
     ActionBackground,
     DefiniteClause,
-    DepthBudgetError,
     FSC,
     FSCTuple,
     Hypothesis,
@@ -57,19 +56,14 @@ class TestProve:
         problem = problem_from_map(grid)
         assert prove(problem.initial, problem.goal, background) == frozenset()
 
-    def test_fact_instance_at_depth_one(self):
-        grid = parse_map("se", "pair")
+    def test_generalized_open_floor_halts_with_all_eight(self):
+        # Every simple derivation on an open 3x3 floor, with no depth budget.
+        grid = parse_map("sff\nfff\nffe", "open")
         background = ActionBackground(instantiate_actions(grid))
-        problem = problem_from_map(grid)
-        subs = prove(problem.initial, problem.goal, background, depth_budget=1)
-        assert (Metarule.IDENTITY, "step_right") in subs
-
-    def test_budget_exhausted_raises(self):
-        grid = parse_map("sfe", "corridor")
-        background = ActionBackground(instantiate_actions(grid))
-        problem = problem_from_map(grid)
-        with pytest.raises(DepthBudgetError):
-            prove(problem.initial, problem.goal, background, depth_budget=1)
+        problem = generalized_example(grid.id)
+        subs = prove(problem.initial, problem.goal, background)
+        assert subs == {(rule, f"step_{d}") for rule in (Metarule.IDENTITY, Metarule.TAILREC)
+                        for d in ("down", "left", "right", "up")}
 
     def test_generalized_zero_example_collects_all_eight(self):
         problem = generalized_example("zero")
@@ -184,19 +178,19 @@ class TestTupleBackground:
     def test_ground_streams_match_exactly_one_symbol(self):
         background = TupleBackground()
         initial, goal = behaviour_goal([FSCTuple("q0", "upuu", "right", "q1")])
-        cands = list(background.candidates(initial))
+        cands = list(background.successors(initial))
         assert len(cands) == 1
         assert cands[0][0] == FSCTuple("q0", "upuu", "right", "q1")
 
     def test_unknown_head_enumerates(self):
         background = TupleBackground()
         state = LabelStreams((UNKNOWN,), ("upuu",), ("right",), ("q1",))
-        cands = list(background.candidates(state))
+        cands = list(background.successors(state))
         assert len(cands) == 4  # one per controller state
 
     def test_empty_streams_have_no_candidates(self):
         background = TupleBackground()
-        assert list(background.candidates(LabelStreams((), (), (), ()))) == []
+        assert list(background.successors(LabelStreams((), (), (), ()))) == []
 
     def test_learn_from_single_behaviour(self):
         behaviour = [FSCTuple("q0", "upuu", "right", "q1")]

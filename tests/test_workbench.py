@@ -176,6 +176,15 @@ class TestCli:
         assert "error:" in result.stderr
         assert "Traceback" not in result.stderr
 
+    def test_run_bom_crlf_map_file(self, tmp_path):
+        solver = tmp_path / "solver.pl"
+        run_cli("learn-solver", "--out", str(solver))
+        grid = tmp_path / "bom.map"
+        grid.write_bytes("\ufeffsff\r\nwwf\r\neff\r\n".encode("utf-8"))
+        result = run_cli("run", "solver", str(grid), str(solver))
+        assert result.returncode == 0, result.stderr
+        assert "outcome: solved" in result.stdout
+
     def test_missing_map(self, tmp_path):
         solver = tmp_path / "solver.pl"
         run_cli("learn-solver", "--out", str(solver))
