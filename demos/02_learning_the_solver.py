@@ -42,7 +42,8 @@ print()
 hypothesis = learn([example], ActionBackground(actions), target="s")
 print(hypothesis.to_text())
 
-# The same 8 clauses plan on any map once the model is instantiated to it.
+# The same 8 clauses plan on any map: the solver reads its step actions off
+# the grid at each state it reaches.
 maze = fixture_map("maze_a")
 plan = solve(maze, hypothesis)
 print(f"maze_a plan ({len(plan)} steps): {plan.to_labels_line()}")

@@ -69,6 +69,7 @@ from .mil import (
 )
 from .model import (
     ActionBackground,
+    GridBackground,
     GroundAction,
     PlanningProblem,
     StateTerm,

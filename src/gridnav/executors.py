@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fsc import FSC, FSCTuple, observe, reverse_pair
-from .grid import DIRECTIONS, OPPOSITE, Coord, GridMap
+from .grid import DELTA, DIRECTIONS, OPPOSITE, PASSABLE_TILES, Coord, GridMap
 from .slam import SlamMap, slam_move, slam_permits, slam_update
 
 SOLVED = "solved"
@@ -57,12 +57,15 @@ class BasicEnvironment:
         when the move hits a wall or the map edge (state unchanged)."""
         if action not in DIRECTIONS:
             raise ExecutorError(f"unknown action label {action!r}")
-        nxt = self._pos.shifted(action)
-        if not self.grid.passable(nxt):
+        dx, dy = DELTA[action]
+        grid = self.grid
+        x, y = self._pos.x + dx, self._pos.y + dy
+        if not (0 <= x < grid.width and 0 <= y < grid.height
+                and grid.tiles[y][x] in PASSABLE_TILES):
             return None
-        self._pos = nxt
+        nxt = self._pos = Coord(x, y)
         self._trail.append(nxt)
-        return observe(self.grid, self._pos), self._pos == self._end
+        return observe(grid, nxt), nxt == self._end
 
     def checkpoint(self) -> int:
         """Opaque token for the current state; equal states yield equal
@@ -140,6 +143,23 @@ class _Budget:
         return self.used <= self.limit
 
 
+class _Frame:
+    """A backtracking choice point: the state entered, its checkpoint token
+    and SLAM pose, the lookup pairs still to try, and the step that entered
+    it (None at the root)."""
+
+    __slots__ = ("q", "obs", "token", "pose", "pairs", "idx", "entering")
+
+    def __init__(self, q, obs, token, pose, pairs, entering):
+        self.q = q
+        self.obs = obs
+        self.token = token
+        self.pose = pose
+        self.pairs = pairs
+        self.idx = 0
+        self.entering = entering
+
+
 def run_backtracking(fsc: FSC, env, cfg: ExecutorConfig) -> ExecutionResult:
     """Depth-first search over controller choices with environment rewind.
 
@@ -156,24 +176,14 @@ def run_backtracking(fsc: FSC, env, cfg: ExecutorConfig) -> ExecutionResult:
     slam = SlamMap() if cfg.slam else None
     if slam is not None:
         slam_update(slam, obs)
-    visited = {env.checkpoint()}
-
-    class Frame:
-        __slots__ = ("q", "obs", "token", "pose", "pairs", "idx", "entering")
-
-        def __init__(self, q, obs_, entering):
-            self.q = q
-            self.obs = obs_
-            self.token = env.checkpoint()
-            self.pose = slam.pose if slam is not None else None
-            self.pairs = fsc.lookup(q, obs_)
-            self.idx = 0
-            self.entering = entering
+    token = env.checkpoint()
+    visited = {token}
 
     def kept_trace(stack) -> tuple[TraceStep, ...]:
         return tuple(f.entering for f in stack if f.entering is not None)
 
-    stack = [Frame("q0", obs, None)]
+    stack = [_Frame("q0", obs, token, slam.pose if slam is not None else None,
+                    fsc.lookup("q0", obs), None)]
     while stack:
         frame = stack[-1]
         if frame.idx >= len(frame.pairs):
@@ -213,7 +223,8 @@ def run_backtracking(fsc: FSC, env, cfg: ExecutorConfig) -> ExecutionResult:
                 slam.pose = frame.pose
             continue
         visited.add(token)
-        stack.append(Frame(q_next, obs2, step))
+        stack.append(_Frame(q_next, obs2, token, slam.pose if slam is not None else None,
+                            fsc.lookup(q_next, obs2), step))
     return ExecutionResult(EXHAUSTED, 0, (), getattr(env, "trail", ()), slam)
 
 

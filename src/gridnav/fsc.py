@@ -8,10 +8,11 @@ carry no map knowledge: they exchange only labels with whatever runs them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Sequence
 
-from .grid import DIRECTIONS, OPPOSITE, Coord, GridMap, MapError
+from .grid import DIRECTIONS, OPPOSITE, PASSABLE_TILES, Coord, GridMap, MapError
 
 CONTROLLER_STATES = ("q0", "q1", "q2", "q3")
 ACTION_LABELS = DIRECTIONS
@@ -34,11 +35,20 @@ def observe(grid: GridMap, pos: Coord) -> str:
     """Observation label at ``pos``: one character per direction (up, right,
     down, left), ``p`` if that neighbor is passable and ``u`` otherwise.
     Off-map neighbors read as unpassable."""
-    if not grid.in_bounds(pos):
+    x, y = pos
+    width, height, tiles = grid.width, grid.height, grid.tiles
+    if not (0 <= x < width and 0 <= y < height):
         raise MapError(f"map {grid.id!r}: observation position {pos!r} out of bounds")
-    if not grid.passable(pos):
+    row = tiles[y]
+    if row[x] not in PASSABLE_TILES:
         raise MapError(f"map {grid.id!r}: observation position {pos!r} is unpassable")
-    return "".join("p" if grid.passable(pos.shifted(d)) else "u" for d in DIRECTIONS)
+    # Neighbors in DIRECTIONS order: up (y + 1), right, down (y - 1), left.
+    return (
+        ("p" if y + 1 < height and tiles[y + 1][x] in PASSABLE_TILES else "u")
+        + ("p" if x + 1 < width and row[x + 1] in PASSABLE_TILES else "u")
+        + ("p" if y > 0 and tiles[y - 1][x] in PASSABLE_TILES else "u")
+        + ("p" if x > 0 and row[x - 1] in PASSABLE_TILES else "u")
+    )
 
 
 @dataclass(frozen=True, order=True)
@@ -85,9 +95,20 @@ class FSC:
     def lookup(self, q: str, o: str) -> tuple[tuple[str, str], ...]:
         """All (action, next state) pairs for (q, o), in a fixed order:
         actions up/right/down/left first, ties broken by next state."""
-        pairs = [(t.a, t.q_next) for t in self.tuples if t.q == q and t.o == o]
-        pairs.sort(key=lambda p: (_A_INDEX[p[0]], _Q_INDEX[p[1]]))
-        return tuple(pairs)
+        return self._pairs.get((q, o), ())
+
+    @cached_property
+    def _pairs(self) -> dict[tuple[str, str], tuple[tuple[str, str], ...]]:
+        """The sorted lookup pairs of every (q, o) key the tuples name; built
+        on the first lookup, so controllers that are only learned or printed
+        never pay for it."""
+        grouped: dict[tuple[str, str], list[tuple[str, str]]] = {}
+        for t in self.tuples:
+            grouped.setdefault((t.q, t.o), []).append((t.a, t.q_next))
+        return {
+            key: tuple(sorted(pairs, key=lambda p: (_A_INDEX[p[0]], _Q_INDEX[p[1]])))
+            for key, pairs in grouped.items()
+        }
 
     def is_deterministic(self) -> bool:
         seen = set()

@@ -66,12 +66,18 @@ class GridMap:
             raise MapError(f"map {self.id!r}: dimensions must be positive")
         if len(self.tiles) != self.height or any(len(r) != self.width for r in self.tiles):
             raise MapError(f"map {self.id!r}: tile array does not match declared dimensions")
-        for row in self.tiles:
-            for t in row:
-                if t not in TILE_KINDS:
-                    raise MapError(f"map {self.id!r}: unknown tile kind {t!r}")
-        starts = [c for c in self.cells() if self.tile_at(c) == START]
-        ends = [c for c in self.cells() if self.tile_at(c) == END]
+        starts: list[Coord] = []
+        ends: list[Coord] = []
+        for y, row in enumerate(self.tiles):
+            if not TILE_KINDS.issuperset(row):
+                bad = next(t for t in row if t not in TILE_KINDS)
+                raise MapError(f"map {self.id!r}: unknown tile kind {bad!r}")
+            if START in row or END in row:
+                for x, t in enumerate(row):
+                    if t == START:
+                        starts.append(Coord(x, y))
+                    elif t == END:
+                        ends.append(Coord(x, y))
         if len(starts) > 1 or len(ends) > 1:
             raise MapError(f"map {self.id!r}: multiple start or end tiles")
         object.__setattr__(self, "start", starts[0] if starts else None)

@@ -9,9 +9,10 @@ learned first-order program.
 A background is any object with one method over hashable states that have
 ``matches(goal)``: ``successors(state)`` yields (symbol, payload, next
 state) for every body symbol that applies to the state, in sorted symbol
-order (the order of ``Hypothesis.ordered``).  ``ActionBackground`` (ground
-step actions of a map) and ``TupleBackground`` (the controller-tuple
-universe applied to label streams) implement it.
+order (the order of ``Hypothesis.ordered``).  ``ActionBackground`` (an
+explicit set of ground step actions), ``GridBackground`` (the step actions
+of a map, read off its tiles at bound positions) and ``TupleBackground``
+(the controller-tuple universe applied to label streams) implement it.
 
 Two engines run over it: ``prove`` collects every simple derivation, for
 learning; ``first_derivation`` returns the first derivation of a program,

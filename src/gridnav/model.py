@@ -1,11 +1,15 @@
 """Planning models: state terms, ground step actions, problems.
 
 A state term bundles a map identifier, a position and the tile kind at that
-position.  Instantiating a map turns each ordered pair of adjacent passable
-cells into one ground step action; ``ActionBackground`` indexes them for
-resolution.  The same plain model serves planning on full maps and, on the
-3x3 observation matrices, the one-step solves that controller training
-behaviours are read off.
+position.  Each ordered pair of adjacent passable cells is one ground step
+action.  Planning reads them off the grid on demand: ``GridBackground``
+yields the actions leaving a state from the tiles around it, so a solve
+builds only the actions at the states it visits.  ``instantiate_actions``
+lists every action of a map; it is the export (the action listing) and the
+learning view: ``ActionBackground`` indexes an explicit action set, which
+learning needs for its unbound-position queries on the 2x2 map and which
+serves the one-step solves on the 3x3 observation matrices that controller
+training behaviours are read off.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .grid import DIRECTIONS, Coord, GridMap
+from .grid import DELTA, DIRECTIONS, PASSABLE_TILES, Coord, GridMap
 
 
 class _Unknown:
@@ -106,17 +110,14 @@ class PlanningProblem:
 
 def instantiate_actions(grid: GridMap) -> tuple[GroundAction, ...]:
     """One ground action per ordered pair of adjacent passable cells, named
-    by direction, with tile kinds read from the map."""
-    actions = []
-    for cell in grid.passable_cells():
-        for d, nxt in grid.neighbors(cell):
-            actions.append(
-                GroundAction(
-                    action_name(d),
-                    StateTerm(grid.id, cell, grid.tile_at(cell)),
-                    StateTerm(grid.id, nxt, grid.tile_at(nxt)),
-                )
-            )
+    by direction, with tile kinds read from the map; sorted by name, then
+    input position."""
+    background = GridBackground(grid)
+    actions = [
+        act
+        for cell in grid.passable_cells()
+        for _name, act, _nxt in background.successors(StateTerm(grid.id, cell, UNKNOWN))
+    ]
     actions.sort(key=lambda a: (a.name, a.input.pos))
     return tuple(actions)
 
@@ -169,3 +170,42 @@ class ActionBackground:
         for act in acts:
             if act.input.matches(state):
                 yield act.name, act, act.output
+
+
+# (action name, dx, dy) in sorted action-name order: down, left, right, up.
+_STEPS = tuple(sorted((action_name(d), *DELTA[d]) for d in DIRECTIONS))
+
+
+class GridBackground:
+    """The ground step actions of one map, read off its tiles on demand.
+
+    ``successors(state)`` yields (name, action, next state) for each passable
+    neighbor of a bound position, in sorted action-name order, when the
+    state's map id and tile unify with the map's; it yields exactly what
+    ``ActionBackground(instantiate_actions(grid))`` yields for that state.
+    Positions must be bound: for unbound ones, use the explicit action set.
+    """
+
+    def __init__(self, grid: GridMap):
+        self.grid = grid
+
+    def successors(self, state: StateTerm):
+        pos = state.pos
+        if pos is UNKNOWN:
+            raise ValueError("grid background needs a bound position; use ActionBackground")
+        grid = self.grid
+        map_id, width, height, tiles = grid.id, grid.width, grid.height, grid.tiles
+        x, y = pos
+        if state.map_id != map_id or not (0 <= x < width and 0 <= y < height):
+            return
+        tile = tiles[y][x]
+        if tile not in PASSABLE_TILES or not unifies(state.tile, tile):
+            return
+        here = StateTerm(map_id, pos, tile)
+        for name, dx, dy in _STEPS:
+            nx, ny = x + dx, y + dy
+            if 0 <= nx < width and 0 <= ny < height:
+                nxt_tile = tiles[ny][nx]
+                if nxt_tile in PASSABLE_TILES:
+                    nxt = StateTerm(map_id, Coord(nx, ny), nxt_tile)
+                    yield name, GroundAction(name, here, nxt), nxt

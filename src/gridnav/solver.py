@@ -11,6 +11,7 @@ from .mil import Hypothesis, first_derivation
 from .model import (
     UNKNOWN,
     ActionBackground,
+    GridBackground,
     GroundAction,
     PlanningProblem,
     StateTerm,
@@ -44,7 +45,8 @@ class Plan:
 
 
 def solve(grid: GridMap, hypothesis: Hypothesis, problem: PlanningProblem | None = None) -> Plan:
-    """Plan over the map's instantiated actions with a learned program.
+    """Plan with a learned program over the map's step actions, read off
+    the grid at each state the search visits.
 
     The search is deterministic: repeated calls on the same map and problem
     walk the identical derivation and return the identical plan.
@@ -59,8 +61,7 @@ def solve(grid: GridMap, hypothesis: Hypothesis, problem: PlanningProblem | None
         raise PlanningError("initial state must bind a position")
     if problem.initial == problem.goal:
         raise PlanningError("start equals goal: every clause applies at least one action")
-    background = ActionBackground(instantiate_actions(grid))
-    payloads = first_derivation(background, hypothesis, problem.initial, problem.goal)
+    payloads = first_derivation(GridBackground(grid), hypothesis, problem.initial, problem.goal)
     if payloads is None:
         raise UnsolvableError(f"no derivation reaches the goal on map {grid.id!r}")
     actions: tuple[GroundAction, ...] = tuple(payloads)

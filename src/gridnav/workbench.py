@@ -20,7 +20,7 @@ from .executors import (
 )
 from .fsc import CONTROLLER_STATES, FSC
 from .fixtures import fixture_map, lake_fixture_names, zero_map
-from .grid import Coord, GridMap, generate_maze, with_endpoints
+from .grid import GridMap, generate_maze, with_endpoints
 from .mil import Hypothesis, TupleBackground, behaviour_goal, hypothesis_to_tuples, learn
 from .model import (
     ActionBackground,
@@ -207,13 +207,13 @@ def experiment_instances(spec: ExperimentSpec) -> list[tuple[str, GridMap]]:
             grid = generate_maze(spec.width, spec.height, seed=spec.seed * 100_003 + i)
             instances.append((f"maze-{i:03d}", grid))
     elif spec.environment == "lake":
-        names = lake_fixture_names()
+        fixtures = [fixture_map(name) for name in lake_fixture_names()]
+        fixtures = [(fixture, sorted(fixture.passable_cells())) for fixture in fixtures]
         for i in range(spec.instances):
-            fixture = fixture_map(names[i % len(names)])
+            fixture, cells = fixtures[i % len(fixtures)]
             rng = random.Random(spec.seed * 1_000_003 + i)
-            cells = sorted(fixture.passable_cells())
             start, end = rng.sample(cells, 2)
-            grid = with_endpoints(fixture, Coord(*start), Coord(*end))
+            grid = with_endpoints(fixture, start, end)
             instances.append((f"{fixture.id}-{i:03d}", grid))
     else:
         raise ValueError(f"unknown environment {spec.environment!r}")

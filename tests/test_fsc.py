@@ -1,18 +1,24 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from gridnav import (
     ACTION_LABELS,
     CONTROLLER_STATES,
     Coord,
+    DIRECTIONS,
     FSC,
     FSCError,
     FSCTuple,
     MapError,
     OBSERVATION_LABELS,
     STATE_FOR_ACTION,
+    fixture_map,
+    generate_lake,
     is_chained,
+    map_fixture_names,
     observe,
     observation_matrices,
     parse_map,
@@ -37,6 +43,20 @@ class TestAlphabets:
         assert STATE_FOR_ACTION == {"up": "q0", "right": "q1", "down": "q2", "left": "q3"}
 
 
+def reference_observe(grid, pos):
+    """The observation label by its definition, one passability test per
+    neighbor."""
+    return "".join("p" if grid.passable(pos.shifted(d)) else "u" for d in DIRECTIONS)
+
+
+def reference_lookup(fsc, q, o):
+    """Lookup pairs by their definition: scan every tuple, then sort by
+    action and next state in alphabet order."""
+    pairs = [(t.a, t.q_next) for t in fsc.tuples if t.q == q and t.o == o]
+    pairs.sort(key=lambda p: (ACTION_LABELS.index(p[0]), CONTROLLER_STATES.index(p[1])))
+    return tuple(pairs)
+
+
 class TestObserve:
     def test_zero_map_corner(self):
         assert observe(zero_map(), Coord(0, 0)) == "ppuu"
@@ -51,8 +71,16 @@ class TestObserve:
             assert observe(matrix, Coord(1, 1)) == label
 
     def test_out_of_bounds(self):
-        with pytest.raises(MapError):
-            observe(zero_map(), Coord(5, 5))
+        for pos in (Coord(5, 5), Coord(-1, 0), Coord(0, -1), Coord(2, 0)):
+            with pytest.raises(MapError, match="out of bounds"):
+                observe(zero_map(), pos)
+
+    def test_equals_reference_on_every_passable_cell(self):
+        grids = [zero_map(), generate_lake(21, 21, seed=4)]
+        grids += [fixture_map(name) for name in map_fixture_names()]
+        for grid in grids:
+            for cell in grid.passable_cells():
+                assert observe(grid, cell) == reference_observe(grid, cell), (grid.id, cell)
 
     def test_unpassable_position(self):
         grid = parse_map("sw\nfe", "tiny")
@@ -70,6 +98,16 @@ class TestLookup:
     def test_learned_controller_four_choices(self, learned_controller):
         pairs = learned_controller.lookup("q0", "pppp")
         assert pairs == (("up", "q0"), ("right", "q1"), ("down", "q2"), ("left", "q3"))
+
+    def test_index_equals_scan(self, learned_controller, controller_a, controller_b):
+        rng = random.Random(7)
+        nondeterministic = FSC.of(rng.sample(sorted(tuple_universe()), 200))
+        assert not nondeterministic.is_deterministic()
+        for fsc in (learned_controller, controller_a, controller_b, nondeterministic):
+            for q in CONTROLLER_STATES:
+                for o in OBSERVATION_LABELS:
+                    assert fsc.lookup(q, o) == reference_lookup(fsc, q, o), (q, o)
+        assert nondeterministic.lookup("q9", "zzzz") == ()
 
     def test_example_controllers_are_deterministic(self, controller_a, controller_b):
         assert controller_a.is_deterministic()

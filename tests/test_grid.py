@@ -124,6 +124,15 @@ class TestGridMapInvariants:
         with pytest.raises(MapError, match="multiple"):
             GridMap.from_rows("bad", ["ee"])
 
+    def test_bad_tile_arrays_rejected(self):
+        with pytest.raises(MapError, match="unknown tile kind 'x'"):
+            GridMap("bad", 2, 2, (("f", "f"), ("f", "x")))
+        with pytest.raises(MapError, match="does not match declared dimensions"):
+            GridMap("bad", 2, 2, (("f", "f"), ("f",)))
+        # A bad tile is reported before duplicated start tiles.
+        with pytest.raises(MapError, match="unknown tile kind '\\?'"):
+            GridMap("bad", 2, 2, (("s", "s"), ("f", "?")))
+
     def test_with_endpoints_moves_tiles(self):
         grid = parse_map("sf\nfe", "tiny")
         moved = with_endpoints(grid, Coord(1, 1), Coord(0, 0))

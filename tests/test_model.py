@@ -3,17 +3,23 @@ from __future__ import annotations
 import pytest
 
 from gridnav import (
+    ActionBackground,
     Coord,
+    GridBackground,
+    GroundAction,
     StateTerm,
     UNKNOWN,
     actions_to_text,
+    fixture_map,
     generalized_example,
     generate_maze,
     instantiate_actions,
+    lake_fixture_names,
     parse_map,
     problem_from_map,
     zero_map,
 )
+from gridnav.model import action_name
 
 from test_grid import adjacency_edges
 
@@ -29,6 +35,28 @@ step_right([zero,0/1,f],[zero,1/1,f]).
 step_up([zero,0/0,f],[zero,0/1,f]).
 step_up([zero,1/0,f],[zero,1/1,f]).
 """
+
+
+def reference_actions(grid):
+    """The explicit action set by its definition: one action per ordered
+    pair of adjacent passable cells, sorted by name, then input position."""
+    actions = [
+        GroundAction(
+            action_name(d),
+            StateTerm(grid.id, cell, grid.tile_at(cell)),
+            StateTerm(grid.id, nxt, grid.tile_at(nxt)),
+        )
+        for cell in grid.passable_cells()
+        for d, nxt in grid.neighbors(cell)
+    ]
+    actions.sort(key=lambda a: (a.name, a.input.pos))
+    return tuple(actions)
+
+
+def differential_maps():
+    return [fixture_map(name) for name in lake_fixture_names()] + [
+        generate_maze(51, 51, seed) for seed in range(4)
+    ]
 
 
 class TestInstantiateActions:
@@ -72,6 +100,39 @@ class TestInstantiateActions:
             dx = act.output.pos.x - act.input.pos.x
             dy = act.output.pos.y - act.input.pos.y
             assert (dx, dy) == deltas[act.name]
+
+
+    def test_equals_reference_definition(self):
+        for grid in [zero_map()] + differential_maps():
+            assert instantiate_actions(grid) == reference_actions(grid), grid.id
+
+
+class TestGridBackground:
+    @pytest.mark.parametrize("grid", differential_maps(), ids=lambda g: g.id)
+    def test_successors_equal_explicit_background(self, grid):
+        explicit = ActionBackground(reference_actions(grid))
+        lazy = GridBackground(grid)
+        for cell in grid.passable_cells():
+            for tile in (grid.tile_at(cell), UNKNOWN):
+                state = StateTerm(grid.id, cell, tile)
+                expected = list(explicit.successors(state))
+                assert expected
+                assert list(lazy.successors(state)) == expected
+
+    @pytest.mark.parametrize("grid", differential_maps(), ids=lambda g: g.id)
+    def test_no_successors_off_the_passable_cells(self, grid):
+        lazy = GridBackground(grid)
+        walls = [c for c in grid.cells() if not grid.passable(c)]
+        off_map = [Coord(-1, 0), Coord(0, -1), Coord(grid.width, 0), Coord(0, grid.height)]
+        for cell in walls + off_map:
+            assert list(lazy.successors(StateTerm(grid.id, cell, UNKNOWN))) == []
+        for cell in grid.passable_cells():
+            assert list(lazy.successors(StateTerm("other", cell, UNKNOWN))) == []
+            assert list(lazy.successors(StateTerm(grid.id, cell, "w"))) == []
+
+    def test_unbound_position_is_an_error(self):
+        with pytest.raises(ValueError, match="bound position"):
+            list(GridBackground(zero_map()).successors(StateTerm("zero", UNKNOWN, UNKNOWN)))
 
 
 class TestProblems:

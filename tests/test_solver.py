@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from gridnav import (
+    ActionBackground,
     Coord,
     PlanningError,
     PlanningProblem,
@@ -10,6 +13,8 @@ from gridnav import (
     UnsolvableError,
     generate_behaviours,
     generate_lake,
+    generate_maze,
+    instantiate_actions,
     is_chained,
     observation_matrices,
     observe,
@@ -18,6 +23,7 @@ from gridnav import (
     problem_from_map,
     solve,
 )
+from gridnav.mil import first_derivation
 
 
 def trace_positions(grid, labels):
@@ -58,6 +64,11 @@ class TestSolve:
         with pytest.raises(UnsolvableError):
             solve(grid, solver_hypothesis)
 
+    def test_isolated_start_is_unsolvable(self, solver_hypothesis):
+        # The map has no step action at all.
+        with pytest.raises(UnsolvableError):
+            solve(parse_map("swe", "apart"), solver_hypothesis)
+
     def test_start_equals_goal_rejected(self, solver_hypothesis):
         grid = parse_map("se", "pair")
         state = StateTerm("pair", Coord(0, 0), "s")
@@ -79,6 +90,27 @@ class TestSolve:
         plaza = parse_map("sffff\nfffff\nfffff\nfffff\nffffe", "plaza")
         plan = solve(plaza, solver_hypothesis)
         assert playback(plaza, plan.labels)[0]
+
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_plan_as_explicit_background(self, solver_hypothesis, seed):
+        maze = generate_maze(101, 101, seed)
+        problem = problem_from_map(maze)
+        explicit = ActionBackground(instantiate_actions(maze))
+        expected = first_derivation(explicit, solver_hypothesis, problem.initial, problem.goal)
+        assert solve(maze, solver_hypothesis).actions == tuple(expected)
+
+    def test_401_maze_within_memory_bound(self, solver_hypothesis):
+        maze = generate_maze(401, 401, seed=2)
+        tracemalloc.start()
+        try:
+            plan = solve(maze, solver_hypothesis)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert playback(maze, plan.labels) == (True, maze.end)
+        # Building every action of the map first peaked near 96 MB.
+        assert peak < 48 * 2**20
 
 
 class TestPlayback:

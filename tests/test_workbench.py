@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import subprocess
 import sys
 
@@ -12,6 +13,7 @@ from gridnav import (
     observation_matrices,
     run_experiment,
     run_single,
+    serialize_map,
 )
 from gridnav.workbench import REPORT_HEADER
 
@@ -36,6 +38,18 @@ class TestExperiments:
         instances = experiment_instances(spec)
         endpoints = {(g.start, g.end) for _, g in instances}
         assert len(endpoints) > 1
+
+    @pytest.mark.parametrize("spec, digest", [
+        (ExperimentSpec.desk_lake("solver"),
+         "8c692ab99608e9d9841fcda17af3c4329d480221d8dab5eb6f7775e4b75c75bc"),
+        (ExperimentSpec.desk_maze("solver"),
+         "0cb40462e4988b2fdeeb155e1bf4b3b0285f71b6c769db06ea81532128f23035"),
+    ], ids=["desk-lake", "desk-maze"])
+    def test_seed_zero_instance_sets_are_pinned(self, spec, digest):
+        h = hashlib.sha256()
+        for name, grid in experiment_instances(spec):
+            h.update(f"{name}\n{serialize_map(grid)}".encode())
+        assert h.hexdigest() == digest
 
     def test_report_determinism(self, solver_hypothesis):
         spec = ExperimentSpec("solver", "maze", 9, 9, 4, seed=2)
