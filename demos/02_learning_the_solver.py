@@ -26,10 +26,11 @@ print("training map:")
 print(render_map(grid))
 print()
 
-# Its ground action model: one step action per ordered pair of adjacent
-# passable cells, eight in total.
-actions = instantiate_actions(grid)
-print(actions_to_text(actions))
+# Its ground action model, read off the map's tiles: one step action per
+# ordered pair of adjacent passable cells, eight in total.  The listing is
+# the background queried with the position left unbound.
+background = ActionBackground(grid)
+print(actions_to_text(instantiate_actions(grid)))
 
 # The training example binds only the map identifier; position and tile are
 # left unknown on both sides, which is what makes the program general.
@@ -39,11 +40,11 @@ print()
 
 # Learning collects every (template, action symbol) substitution used in a
 # successful derivation: 2 templates x 4 actions = 8 clauses.
-hypothesis = learn([example], ActionBackground(actions), target="s")
+hypothesis = learn([example], background, target="s")
 print(hypothesis.to_text())
 
-# The same 8 clauses plan on any map: the solver reads its step actions off
-# the grid at each state it reaches.
+# The same 8 clauses plan on any map over that map's ActionBackground, which
+# reads the step actions off the grid at each state the search reaches.
 maze = fixture_map("maze_a")
 plan = solve(maze, hypothesis)
 print(f"maze_a plan ({len(plan)} steps): {plan.to_labels_line()}")

@@ -62,14 +62,12 @@ from .mil import (
     TupleBackground,
     UnlearnableError,
     behaviour_goal,
-    entails,
     hypothesis_to_tuples,
     learn,
     prove,
 )
 from .model import (
     ActionBackground,
-    GridBackground,
     GroundAction,
     PlanningProblem,
     StateTerm,

@@ -188,17 +188,13 @@ def run_backtracking(fsc: FSC, env, cfg: ExecutorConfig) -> ExecutionResult:
         frame = stack[-1]
         if frame.idx >= len(frame.pairs):
             stack.pop()
-            if stack:
-                env.restore(stack[-1].token)
-                if slam is not None:
-                    slam.pose = stack[-1].pose
             continue
         a, q_next = frame.pairs[frame.idx]
         frame.idx += 1
         env.restore(frame.token)
         if slam is not None:
             slam.pose = frame.pose
-            if not slam_permits(slam, a, reversing=False):
+            if not slam_permits(slam, a):
                 continue
         result = env.step(a)
         if result is None:
@@ -218,9 +214,6 @@ def run_backtracking(fsc: FSC, env, cfg: ExecutorConfig) -> ExecutionResult:
             return ExecutionResult(SOLVED, len(trace), trace, getattr(env, "trail", ()), slam)
         token = env.checkpoint()
         if token in visited:
-            env.restore(frame.token)
-            if slam is not None:
-                slam.pose = frame.pose
             continue
         visited.add(token)
         stack.append(_Frame(q_next, obs2, token, slam.pose if slam is not None else None,
@@ -258,7 +251,7 @@ def run_reversing(fsc: FSC, env, cfg: ExecutorConfig) -> ExecutionResult:
         kind, entry = stack.pop()
         if kind == "forward":
             a, q_next = entry.a, entry.q_next
-            if slam is not None and not slam_permits(slam, a, reversing=False):
+            if slam is not None and not slam_permits(slam, a):
                 continue
         else:
             a, q_next = entry

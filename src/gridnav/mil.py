@@ -9,15 +9,14 @@ learned first-order program.
 A background is any object with one method over hashable states that have
 ``matches(goal)``: ``successors(state)`` yields (symbol, payload, next
 state) for every body symbol that applies to the state, in sorted symbol
-order (the order of ``Hypothesis.ordered``).  ``ActionBackground`` (an
-explicit set of ground step actions), ``GridBackground`` (the step actions
-of a map, read off its tiles at bound positions) and ``TupleBackground``
-(the controller-tuple universe applied to label streams) implement it.
+order (the order of ``Hypothesis.ordered``).  ``ActionBackground`` (the
+step actions of a map, read off its tiles) and ``TupleBackground`` (the
+controller-tuple universe applied to label streams) implement it.
 
 Two engines run over it: ``prove`` collects every simple derivation, for
 learning; ``first_derivation`` returns the first derivation of a program,
-for planning, behaviour generation and entailment.  Neither re-enters a
-state on one derivation, so both halt without a depth budget.
+for planning and behaviour generation.  Neither re-enters a state on one
+derivation, so both halt without a depth budget.
 """
 
 from __future__ import annotations
@@ -192,24 +191,18 @@ def behaviour_goal(behaviour: Sequence[FSCTuple], initial_q: str | None = None):
     return initial, EMPTY_STREAMS
 
 
-def _unifies_with_tuple(heads: tuple, t: FSCTuple) -> bool:
-    return all(map(unifies, heads, (t.q, t.o, t.a, t.q_next)))
-
-
 class TupleBackground:
     """The controller-tuple universe as a ground background: each 4-tuple is
     one dyadic symbol that consumes a matching quadruple of stream heads."""
 
-    def __init__(self, universe: Iterable[FSCTuple] | None = None):
-        self.universe = frozenset(universe) if universe is not None else tuple_universe()
-        self.symbols = tuple(sorted(self.universe))
-        self._index = {(t.q, t.o, t.a, t.q_next): t for t in self.universe}
+    def __init__(self):
+        self._index = {(t.q, t.o, t.a, t.q_next): t for t in tuple_universe()}
 
     def _matching(self, heads: tuple) -> list[FSCTuple]:
         if UNKNOWN not in heads:
             t = self._index.get(heads)
             return [t] if t is not None else []
-        return [t for t in self.symbols if _unifies_with_tuple(heads, t)]
+        return sorted(t for key, t in self._index.items() if all(map(unifies, heads, key)))
 
     def successors(self, state: LabelStreams):
         heads = state.heads()
@@ -238,6 +231,11 @@ def prove(initial, goal, background) -> frozenset:
     A derivation never revisits a state it already passed through, so every
     derivation is finite and cyclic state graphs terminate.  Returns the
     empty set when the goal is unsatisfiable.
+
+    The cost grows with the number of simple paths, exponentially in the
+    map: the generalized example over an open floor takes 0.01 s at 3x3,
+    0.44 s at 4x4 and 43 s at 5x5 (on a 2-CPU host).  That is why the
+    solver is learned on the 2x2 map.
     """
     metasubs: set[tuple[Metarule, object]] = set()
 
@@ -281,17 +279,15 @@ def _goal_pair(example):
     return initial, goal
 
 
-def learn(examples, background, *, target: str, negatives=()) -> Hypothesis:
-    """Learn a hypothesis covering every positive example.
+def learn(examples, background, *, target: str) -> Hypothesis:
+    """Learn a hypothesis covering every example.
 
     Collects the metasubstitutions of all successful derivations of each
-    example and instantiates them into clauses.  Negative examples, when
-    given, trigger a pruning pass that drops clauses not needed to cover the
-    positives while any negative is still derivable.
+    example and instantiates them into clauses.
     """
     examples = list(examples)
     if not examples:
-        raise ValueError("at least one positive example is required")
+        raise ValueError("at least one example is required")
     all_subs: set[tuple[Metarule, object]] = set()
     for example in examples:
         initial, goal = _goal_pair(example)
@@ -300,10 +296,7 @@ def learn(examples, background, *, target: str, negatives=()) -> Hypothesis:
             raise UnlearnableError(f"no derivation exists for example {example!r}")
         all_subs |= subs
     clauses = {DefiniteClause(rule, target, sym) for rule, sym in all_subs}
-    hypothesis = Hypothesis.of(clauses, target)
-    if negatives:
-        hypothesis = _prune_against_negatives(hypothesis, background, examples, list(negatives))
-    return hypothesis
+    return Hypothesis.of(clauses, target)
 
 
 def first_derivation(background, hypothesis: Hypothesis, initial, goal):
@@ -353,36 +346,6 @@ def first_derivation(background, hypothesis: Hypothesis, initial, goal):
             if payloads:
                 payloads.pop()
     return None
-
-
-def entails(hypothesis: Hypothesis, background, initial, goal) -> bool:
-    """Whether background plus hypothesis derives the goal from the initial
-    state."""
-    return first_derivation(background, hypothesis, initial, goal) is not None
-
-
-def _prune_against_negatives(hypothesis, background, positives, negatives):
-    def covers_positives(clauses) -> bool:
-        trial = Hypothesis.of(clauses, hypothesis.target)
-        return all(entails(trial, background, *_goal_pair(p)) for p in positives)
-
-    def entailed_negatives(clauses) -> int:
-        trial = Hypothesis.of(clauses, hypothesis.target)
-        return sum(entails(trial, background, *_goal_pair(n)) for n in negatives)
-
-    current = list(hypothesis.ordered())
-    while True:
-        bad = entailed_negatives(current)
-        if bad == 0:
-            break
-        for clause in reversed(current):
-            trial = [c for c in current if c != clause]
-            if trial and covers_positives(trial) and entailed_negatives(trial) < bad:
-                current = trial
-                break
-        else:
-            break
-    return Hypothesis.of(current, hypothesis.target)
 
 
 def hypothesis_to_tuples(hypothesis: Hypothesis) -> FSC:

@@ -2,20 +2,17 @@
 
 A state term bundles a map identifier, a position and the tile kind at that
 position.  Each ordered pair of adjacent passable cells is one ground step
-action.  Planning reads them off the grid on demand: ``GridBackground``
-yields the actions leaving a state from the tiles around it, so a solve
-builds only the actions at the states it visits.  ``instantiate_actions``
-lists every action of a map; it is the export (the action listing) and the
-learning view: ``ActionBackground`` indexes an explicit action set, which
-learning needs for its unbound-position queries on the 2x2 map and which
-serves the one-step solves on the 3x3 observation matrices that controller
-training behaviours are read off.
+action.  ``ActionBackground`` reads them off the map's tiles per query:
+learning asks it with the position unbound, planning and behaviour
+generation with a bound one, so a solve builds only the actions at the
+states it visits.  ``instantiate_actions`` is its unbound query, the
+map's action listing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .grid import DELTA, DIRECTIONS, PASSABLE_TILES, Coord, GridMap
 
@@ -111,15 +108,10 @@ class PlanningProblem:
 def instantiate_actions(grid: GridMap) -> tuple[GroundAction, ...]:
     """One ground action per ordered pair of adjacent passable cells, named
     by direction, with tile kinds read from the map; sorted by name, then
-    input position."""
-    background = GridBackground(grid)
-    actions = [
-        act
-        for cell in grid.passable_cells()
-        for _name, act, _nxt in background.successors(StateTerm(grid.id, cell, UNKNOWN))
-    ]
-    actions.sort(key=lambda a: (a.name, a.input.pos))
-    return tuple(actions)
+    input position.  It is the map's background queried at an unbound
+    position."""
+    query = StateTerm(grid.id, UNKNOWN, UNKNOWN)
+    return tuple(act for _, act, _ in ActionBackground(grid).successors(query))
 
 
 def generalized_example(map_id: str) -> PlanningProblem:
@@ -147,52 +139,40 @@ def actions_to_text(actions: Iterable[GroundAction]) -> str:
     return "\n".join(a.as_line() for a in actions) + "\n"
 
 
-class ActionBackground:
-    """Ground step actions of one map, indexed for resolution.
-
-    Symbols are the action predicate names present.  ``successors(state)``
-    yields (name, action, next state) for every action whose input state
-    unifies with the query, in symbol order: through an index by input
-    position, or over all actions when the position is UNKNOWN.
-    """
-
-    def __init__(self, actions: Sequence[GroundAction]):
-        if not actions:
-            raise ValueError("background must contain at least one ground action")
-        self._actions = sorted(actions, key=lambda a: a.name)
-        self._by_pos: dict[Coord, list[GroundAction]] = {}
-        for a in self._actions:
-            self._by_pos.setdefault(a.input.pos, []).append(a)
-        self.symbols = tuple(sorted({a.name for a in actions}))
-
-    def successors(self, state: StateTerm):
-        acts = self._actions if state.pos is UNKNOWN else self._by_pos.get(state.pos, ())
-        for act in acts:
-            if act.input.matches(state):
-                yield act.name, act, act.output
-
-
 # (action name, dx, dy) in sorted action-name order: down, left, right, up.
 _STEPS = tuple(sorted((action_name(d), *DELTA[d]) for d in DIRECTIONS))
 
 
-class GridBackground:
-    """The ground step actions of one map, read off its tiles on demand.
+class ActionBackground:
+    """The ground step actions of one map, read off its tiles per query.
 
-    ``successors(state)`` yields (name, action, next state) for each passable
-    neighbor of a bound position, in sorted action-name order, when the
-    state's map id and tile unify with the map's; it yields exactly what
-    ``ActionBackground(instantiate_actions(grid))`` yields for that state.
-    Positions must be bound: for unbound ones, use the explicit action set.
+    ``successors(state)`` yields (name, action, next state) for every action
+    whose input state unifies with the query.  At a bound position these are
+    the steps to its passable neighbors, in sorted action-name order; at an
+    UNKNOWN position they are all such steps of the map, sorted by name,
+    then input position.
     """
 
     def __init__(self, grid: GridMap):
         self.grid = grid
 
     def successors(self, state: StateTerm):
-        pos = state.pos
-        if pos is UNKNOWN:
-            raise ValueError("grid background needs a bound position; use ActionBackground")
+        if state.pos is not UNKNOWN:
+            return self._leaving(state, state.pos)
+        grid = self.grid
+        # Cells in Coord order; the stable sort by name keeps it per name.
+        found = [
+            step
+            for x in range(grid.width)
+            for y in range(grid.height)
+            for step in self._leaving(state, Coord(x, y))
+        ]
+        found.sort(key=lambda step: step[0])
+        return found
+
+    def _leaving(self, state: StateTerm, pos: Coord):
+        """The steps out of one cell, when the query's map id and tile unify
+        with the map's."""
         grid = self.grid
         map_id, width, height, tiles = grid.id, grid.width, grid.height, grid.tiles
         x, y = pos

@@ -73,12 +73,11 @@ def slam_move(slam: SlamMap, action: str) -> SlamMap:
     return slam
 
 
-def slam_permits(slam: SlamMap, action: str, reversing: bool) -> bool:
-    """Whether a move is allowed: into any cell not yet visited, or into a
-    visited cell only when reversing course."""
+def slam_permits(slam: SlamMap, action: str) -> bool:
+    """Whether a move is allowed: only into a cell not yet visited."""
     dx, dy = DELTA[action]
     target = (slam.pose[0] + dx, slam.pose[1] + dy)
-    return reversing or slam.cell(target) != VISITED
+    return slam.cell(target) != VISITED
 
 
 def render_slam(slam: SlamMap) -> str:

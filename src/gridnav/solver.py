@@ -11,13 +11,13 @@ from .mil import Hypothesis, first_derivation
 from .model import (
     UNKNOWN,
     ActionBackground,
-    GridBackground,
     GroundAction,
     PlanningProblem,
     StateTerm,
-    instantiate_actions,
     problem_from_map,
 )
+# Not called here; perfbench/selftest.py requires the binding (REQUIRED_BINDINGS).
+from .model import instantiate_actions  # noqa: F401
 
 
 class PlanningError(Exception):
@@ -61,7 +61,7 @@ def solve(grid: GridMap, hypothesis: Hypothesis, problem: PlanningProblem | None
         raise PlanningError("initial state must bind a position")
     if problem.initial == problem.goal:
         raise PlanningError("start equals goal: every clause applies at least one action")
-    payloads = first_derivation(GridBackground(grid), hypothesis, problem.initial, problem.goal)
+    payloads = first_derivation(ActionBackground(grid), hypothesis, problem.initial, problem.goal)
     if payloads is None:
         raise UnsolvableError(f"no derivation reaches the goal on map {grid.id!r}")
     actions: tuple[GroundAction, ...] = tuple(payloads)
@@ -113,7 +113,7 @@ def generate_behaviours(matrices, hypothesis: Hypothesis) -> tuple[tuple[FSCTupl
     center = Coord(1, 1)
     behaviours = []
     for matrix in matrices:
-        background = ActionBackground(instantiate_actions(matrix))
+        background = ActionBackground(matrix)
         initial = StateTerm(matrix.id, center, matrix.tile_at(center))
         for ch, d in zip(observe(matrix, center), DIRECTIONS):
             if ch != "p":

@@ -22,12 +22,9 @@ from .fsc import CONTROLLER_STATES, FSC
 from .fixtures import fixture_map, lake_fixture_names, zero_map
 from .grid import GridMap, generate_maze, with_endpoints
 from .mil import Hypothesis, TupleBackground, behaviour_goal, hypothesis_to_tuples, learn
-from .model import (
-    ActionBackground,
-    generalized_example,
-    instantiate_actions,
-    problem_from_map,
-)
+from .model import ActionBackground, generalized_example, problem_from_map
+# Not called here; perfbench/selftest.py requires the binding (REQUIRED_BINDINGS).
+from .model import instantiate_actions  # noqa: F401
 from .solver import (
     Plan,
     UnsolvableError,
@@ -55,7 +52,7 @@ def learn_solver() -> Hypothesis:
     """Learn the navigation program from the built-in 2x2 training map and
     its fully generalized example (only the map identifier is bound)."""
     grid = zero_map()
-    background = ActionBackground(instantiate_actions(grid))
+    background = ActionBackground(grid)
     return learn([generalized_example(grid.id)], background, target="s")
 
 
@@ -200,7 +197,9 @@ REPORT_HEADER = (
 
 
 def experiment_instances(spec: ExperimentSpec) -> list[tuple[str, GridMap]]:
-    """The seeded instance set for a spec; identical across agents."""
+    """The seeded instance set for a spec; identical across agents.  Lake
+    instances reroll the endpoints of the packaged lake fixtures, so a lake
+    spec must name their dimensions."""
     instances: list[tuple[str, GridMap]] = []
     if spec.environment == "maze":
         for i in range(spec.instances):
@@ -208,6 +207,10 @@ def experiment_instances(spec: ExperimentSpec) -> list[tuple[str, GridMap]]:
             instances.append((f"maze-{i:03d}", grid))
     elif spec.environment == "lake":
         fixtures = [fixture_map(name) for name in lake_fixture_names()]
+        for fixture in fixtures:
+            if (fixture.width, fixture.height) != (spec.width, spec.height):
+                raise ValueError(f"lake instances are the packaged fixtures; "
+                                 f"{fixture.id} is not {spec.width}x{spec.height}")
         fixtures = [(fixture, sorted(fixture.passable_cells())) for fixture in fixtures]
         for i in range(spec.instances):
             fixture, cells = fixtures[i % len(fixtures)]

@@ -5,7 +5,6 @@ import pytest
 from gridnav import (
     ActionBackground,
     Coord,
-    GridBackground,
     GroundAction,
     StateTerm,
     UNKNOWN,
@@ -107,32 +106,45 @@ class TestInstantiateActions:
             assert instantiate_actions(grid) == reference_actions(grid), grid.id
 
 
-class TestGridBackground:
+def expected_successors(actions, state):
+    return [(a.name, a, a.output) for a in actions if a.input.matches(state)]
+
+
+class TestActionBackground:
     @pytest.mark.parametrize("grid", differential_maps(), ids=lambda g: g.id)
-    def test_successors_equal_explicit_background(self, grid):
-        explicit = ActionBackground(reference_actions(grid))
-        lazy = GridBackground(grid)
+    def test_successors_equal_reference(self, grid):
+        actions = reference_actions(grid)
+        background = ActionBackground(grid)
         for cell in grid.passable_cells():
             for tile in (grid.tile_at(cell), UNKNOWN):
                 state = StateTerm(grid.id, cell, tile)
-                expected = list(explicit.successors(state))
+                expected = expected_successors(actions, state)
                 assert expected
-                assert list(lazy.successors(state)) == expected
+                assert list(background.successors(state)) == expected
 
     @pytest.mark.parametrize("grid", differential_maps(), ids=lambda g: g.id)
     def test_no_successors_off_the_passable_cells(self, grid):
-        lazy = GridBackground(grid)
+        background = ActionBackground(grid)
         walls = [c for c in grid.cells() if not grid.passable(c)]
         off_map = [Coord(-1, 0), Coord(0, -1), Coord(grid.width, 0), Coord(0, grid.height)]
         for cell in walls + off_map:
-            assert list(lazy.successors(StateTerm(grid.id, cell, UNKNOWN))) == []
+            assert list(background.successors(StateTerm(grid.id, cell, UNKNOWN))) == []
         for cell in grid.passable_cells():
-            assert list(lazy.successors(StateTerm("other", cell, UNKNOWN))) == []
-            assert list(lazy.successors(StateTerm(grid.id, cell, "w"))) == []
+            assert list(background.successors(StateTerm("other", cell, UNKNOWN))) == []
+            assert list(background.successors(StateTerm(grid.id, cell, "w"))) == []
 
-    def test_unbound_position_is_an_error(self):
-        with pytest.raises(ValueError, match="bound position"):
-            list(GridBackground(zero_map()).successors(StateTerm("zero", UNKNOWN, UNKNOWN)))
+    def test_unbound_position_yields_every_matching_action(self):
+        for grid in [zero_map()] + differential_maps():
+            actions = reference_actions(grid)
+            background = ActionBackground(grid)
+            every = StateTerm(grid.id, UNKNOWN, UNKNOWN)
+            assert list(background.successors(every)) == expected_successors(actions, every)
+            from_start = StateTerm(grid.id, UNKNOWN, "s")
+            expected = expected_successors(actions, from_start)
+            assert len(expected) == (len(grid.neighbors(grid.start)) if grid.start else 0)
+            assert list(background.successors(from_start)) == expected
+            other = StateTerm("other", UNKNOWN, UNKNOWN)
+            assert list(background.successors(other)) == []
 
 
 class TestProblems:

@@ -73,17 +73,12 @@ class TestMove:
 
 class TestPermits:
     def test_unknown_destination_forward(self):
-        assert slam_permits(SlamMap(), "up", reversing=False)
+        assert slam_permits(SlamMap(), "up")
 
     def test_visited_destination_forward_denied(self):
         slam = slam_update(SlamMap(), "ppuu")
         slam_move(slam, "up")
-        assert not slam_permits(slam, "down", reversing=False)
-
-    def test_visited_destination_reversing_allowed(self):
-        slam = slam_update(SlamMap(), "ppuu")
-        slam_move(slam, "up")
-        assert slam_permits(slam, "down", reversing=True)
+        assert not slam_permits(slam, "down")
 
 
 class TestRender:

@@ -5,7 +5,6 @@ import tracemalloc
 import pytest
 
 from gridnav import (
-    ActionBackground,
     Coord,
     PlanningError,
     PlanningProblem,
@@ -14,7 +13,6 @@ from gridnav import (
     generate_behaviours,
     generate_lake,
     generate_maze,
-    instantiate_actions,
     is_chained,
     observation_matrices,
     observe,
@@ -23,7 +21,6 @@ from gridnav import (
     problem_from_map,
     solve,
 )
-from gridnav.mil import first_derivation
 
 
 def trace_positions(grid, labels):
@@ -90,15 +87,6 @@ class TestSolve:
         plaza = parse_map("sffff\nfffff\nfffff\nfffff\nffffe", "plaza")
         plan = solve(plaza, solver_hypothesis)
         assert playback(plaza, plan.labels)[0]
-
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_same_plan_as_explicit_background(self, solver_hypothesis, seed):
-        maze = generate_maze(101, 101, seed)
-        problem = problem_from_map(maze)
-        explicit = ActionBackground(instantiate_actions(maze))
-        expected = first_derivation(explicit, solver_hypothesis, problem.initial, problem.goal)
-        assert solve(maze, solver_hypothesis).actions == tuple(expected)
 
     def test_401_maze_within_memory_bound(self, solver_hypothesis):
         maze = generate_maze(401, 401, seed=2)

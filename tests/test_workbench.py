@@ -7,17 +7,30 @@ import sys
 import pytest
 
 from gridnav import (
+    AGENTS,
     ExperimentSpec,
+    actions_to_text,
     experiment_instances,
+    fixture_map,
+    generate_behaviours,
+    generate_maze,
+    instantiate_actions,
     learn_controller,
+    map_fixture_names,
     observation_matrices,
     run_experiment,
     run_single,
     serialize_map,
+    solve,
+    zero_map,
 )
 from gridnav.workbench import REPORT_HEADER
 
 from test_grid import adjacency_edges, connected_component
+
+# sha256 of pipeline_lines: any change to a learned program, a behaviour, an
+# action listing, a plan, an executor run or a desk lake row shows here.
+PIPELINE_DIGEST = "9d76330b932af0e1066d87d7450e25f615e544d7901f371923c4ad03c792f9e9"
 
 
 def run_cli(*args, cwd=None):
@@ -38,6 +51,12 @@ class TestExperiments:
         instances = experiment_instances(spec)
         endpoints = {(g.start, g.end) for _, g in instances}
         assert len(endpoints) > 1
+
+    def test_lake_spec_must_match_fixture_dimensions(self):
+        with pytest.raises(ValueError, match="not 50x50"):
+            experiment_instances(ExperimentSpec("solver", "lake", 50, 50, 5))
+        with pytest.raises(ValueError, match="not 50x50"):
+            run_experiment(ExperimentSpec("solver", "lake", 50, 50, 5))
 
     @pytest.mark.parametrize("spec, digest", [
         (ExperimentSpec.desk_lake("solver"),
@@ -91,6 +110,39 @@ class TestExperiments:
     def test_fewer_matrices_fewer_tuples(self, solver_hypothesis, learned_controller):
         reduced = learn_controller(solver_hypothesis, observation_matrices()[:-1])
         assert len(reduced.tuples) < len(learned_controller.tuples)
+
+
+def pipeline_lines(solver, controller):
+    """Text forms of the pipeline's outputs: the learned programs, the
+    behaviours, every action listing, plans, executor runs and desk lake
+    rows."""
+    yield solver.to_text()
+    yield controller.to_text()
+    for behaviour in generate_behaviours(observation_matrices(), solver):
+        yield ",".join(t.as_line() for t in behaviour)
+    for grid in [zero_map()] + [fixture_map(name) for name in map_fixture_names()]:
+        yield actions_to_text(instantiate_actions(grid))
+    for size in (51, 101):
+        for seed in range(4):
+            plan = solve(generate_maze(size, size, seed), solver)
+            yield f"maze {size} {seed}: {plan.to_labels_line()}"
+    for agent in AGENTS[1:]:
+        for seed in range(4):
+            run = run_single(agent, generate_maze(51, 51, seed), controller=controller)
+            path = " ".join(map(repr, run.result.path))
+            yield f"{agent} {seed}: {run.outcome} {run.steps} {','.join(run.labels)} {path}"
+    for agent in AGENTS:
+        report = run_experiment(ExperimentSpec.desk_lake(agent), solver=solver,
+                                controller=controller)
+        yield report.table_row()
+        yield report.to_csv()
+
+
+def test_pipeline_outputs_are_pinned(solver_hypothesis, learned_controller):
+    h = hashlib.sha256()
+    for line in pipeline_lines(solver_hypothesis, learned_controller):
+        h.update(f"{line}\n".encode())
+    assert h.hexdigest() == PIPELINE_DIGEST
 
 
 class TestCli:
