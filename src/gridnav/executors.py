@@ -133,16 +133,6 @@ class ExecutionResult:
         return "\n".join(lines) + "\n"
 
 
-class _Budget:
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
-
-    def spend(self) -> bool:
-        self.used += 1
-        return self.used <= self.limit
-
-
 class _Frame:
     """A backtracking choice point: the state entered, its checkpoint token
     and SLAM pose, the lookup pairs still to try, and the step that entered
@@ -171,7 +161,7 @@ def run_backtracking(fsc: FSC, env, cfg: ExecutorConfig) -> ExecutionResult:
     """
     if not getattr(env, "supports_checkpoint", False):
         raise ExecutorError("backtracking executor needs checkpoint/restore support")
-    budget = _Budget(cfg.budget_for(env))
+    moves_left = cfg.budget_for(env)
     obs = env.reset()
     slam = SlamMap() if cfg.slam else None
     if slam is not None:
@@ -199,11 +189,10 @@ def run_backtracking(fsc: FSC, env, cfg: ExecutorConfig) -> ExecutionResult:
         result = env.step(a)
         if result is None:
             continue
-        if not budget.spend():
-            return ExecutionResult(
-                BUDGET_EXCEEDED, len(kept_trace(stack)), kept_trace(stack),
-                getattr(env, "trail", ()), slam,
-            )
+        moves_left -= 1
+        if moves_left < 0:
+            kept = kept_trace(stack)
+            return ExecutionResult(BUDGET_EXCEEDED, len(kept), kept, getattr(env, "trail", ()), slam)
         obs2, at_goal = result
         if slam is not None:
             slam_move(slam, a)
@@ -231,7 +220,7 @@ def run_reversing(fsc: FSC, env, cfg: ExecutorConfig) -> ExecutionResult:
     sibling is popped the agent is back where that sibling was recorded.
     An empty stack means the exploration is exhausted.
     """
-    budget = _Budget(cfg.budget_for(env))
+    moves_left = cfg.budget_for(env)
     obs = env.reset()
     q = "q0"
     slam = SlamMap() if cfg.slam else None
@@ -258,7 +247,8 @@ def run_reversing(fsc: FSC, env, cfg: ExecutorConfig) -> ExecutionResult:
         result = env.step(a)
         if result is None:
             continue
-        if not budget.spend():
+        moves_left -= 1
+        if moves_left < 0:
             return ExecutionResult(
                 BUDGET_EXCEEDED, len(trace), tuple(trace), getattr(env, "trail", ()), slam,
             )

@@ -127,7 +127,7 @@ class FSC:
     @classmethod
     def from_text(cls, text: str) -> "FSC":
         tuples: list[FSCTuple] = []
-        for n, line in enumerate(text.splitlines()):
+        for n, line in enumerate(text.removeprefix("\ufeff").splitlines()):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue

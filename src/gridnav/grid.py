@@ -123,7 +123,7 @@ class GridMap:
         return self.start, self.end
 
 
-def parse_map(text: str, map_id: str, *, require_endpoints: bool = True) -> GridMap:
+def parse_map(text: str, map_id: str) -> GridMap:
     """Parse map-file text (top row first) into a GridMap.
 
     Reports ragged rows, unknown characters and missing or duplicated
@@ -155,7 +155,7 @@ def parse_map(text: str, map_id: str, *, require_endpoints: bool = True) -> Grid
         if len(found) > 1:
             at = ", ".join(f"row {r} column {c}" for r, c in found)
             raise MapError(f"map {map_id!r}: multiple {kind!r} tiles ({at})")
-        if require_endpoints and not found:
+        if not found:
             raise MapError(f"map {map_id!r}: no {kind!r} tile")
     return GridMap.from_rows(map_id, rows)
 
@@ -229,7 +229,11 @@ def generate_maze(width: int, height: int, seed: int) -> GridMap:
     return _place_endpoints(rows, f"maze_{seed}", width, height, rng)
 
 
-def generate_lake(width: int, height: int, seed: int, *, max_tries: int = 25) -> GridMap:
+# Derived seeds a lake is rolled from before generation gives up.
+_LAKE_TRIES = 25
+
+
+def generate_lake(width: int, height: int, seed: int) -> GridMap:
     """Generate an open-area map: one connected passable region filling at
     least half the grid, dotted with unpassable islands.
 
@@ -239,7 +243,7 @@ def generate_lake(width: int, height: int, seed: int, *, max_tries: int = 25) ->
     """
     if width < 5 or height < 5:
         raise MapError(f"lake dimensions must be at least 5x5, got {width}x{height}")
-    for attempt in range(max_tries):
+    for attempt in range(_LAKE_TRIES):
         rng = random.Random(seed * 1009 + attempt)
         grid = [[WALL if rng.random() < 0.40 else FLOOR for _ in range(width)]
                 for _ in range(height)]
@@ -264,7 +268,7 @@ def generate_lake(width: int, height: int, seed: int, *, max_tries: int = 25) ->
         for c in component:
             rows[c.y][c.x] = FLOOR
         return _place_endpoints(rows, f"lake_{seed}", width, height, rng)
-    raise MapError(f"lake generation failed after {max_tries} tries for seed {seed}")
+    raise MapError(f"lake generation failed after {_LAKE_TRIES} tries for seed {seed}")
 
 
 def _largest_component(grid: list[list[str]], width: int, height: int) -> set[Coord]:

@@ -6,9 +6,10 @@ ground background.  Every successful derivation of a training goal yields a
 substitution (template, body symbol); applying the substitutions gives the
 learned first-order program.
 
-A background is any object with one method over hashable states that have
-``matches(goal)``: ``successors(state)`` yields (symbol, payload, next
-state) for every body symbol that applies to the state, in sorted symbol
+A background is a set of dyadic ground atoms ``symbol(state, next)``, given
+as any object with one method over hashable states that have
+``matches(goal)``: ``successors(state)`` yields (symbol, next state) for
+every atom whose first argument unifies with the state, in sorted symbol
 order (the order of ``Hypothesis.ordered``).  ``ActionBackground`` (the
 step actions of a map, read off its tiles) and ``TupleBackground`` (the
 controller-tuple universe applied to label streams) implement it.
@@ -115,7 +116,7 @@ class Hypothesis:
         tailrec = re.compile(r"^(\w+)\(A,B\)\s*:-\s*(\w+)\(A,C\),\s*(\w+)\(C,B\)\.$")
         clauses = []
         target = None
-        for n, line in enumerate(text.splitlines()):
+        for n, line in enumerate(text.removeprefix("\ufeff").splitlines()):
             line = line.strip()
             if not line or line.startswith("%"):
                 continue
@@ -210,7 +211,7 @@ class TupleBackground:
             return
         tails = state.tails()
         for t in self._matching(heads):
-            yield t, t, tails
+            yield t, tails
 
 
 class _Frame:
@@ -241,7 +242,7 @@ def prove(initial, goal, background) -> frozenset:
 
     def make_frame(state, entered_via) -> _Frame:
         grouped: dict[object, set] = {}
-        for sym, _payload, nxt in background.successors(state):
+        for sym, nxt in background.successors(state):
             grouped.setdefault(nxt, set()).add(sym)
         frame = _Frame(state, entered_via, list(grouped.items()))
         for nxt, syms in frame.children:
@@ -306,20 +307,21 @@ def first_derivation(background, hypothesis: Hypothesis, initial, goal):
     clause: an Identity completion reaching the goal is tried before any
     Tailrec expansion, each in the background's symbol order (the
     hypothesis's canonical clause order).  Visited states are never
-    re-entered, so cyclic maps terminate.  Returns the payload sequence of
-    the first derivation found, or None.
+    re-entered, so cyclic maps terminate.  Returns the (symbol, next state)
+    steps of the first derivation found, chained from ``initial``, or None.
     """
     identity_syms = set(hypothesis.body_symbols(Metarule.IDENTITY))
     tailrec_syms = set(hypothesis.body_symbols(Metarule.TAILREC))
 
     def expand(state):
-        """(completing payload or None, Tailrec (payload, next state) list)."""
+        """(completing step or None, Tailrec step list)."""
         expansions = []
-        for sym, payload, nxt in background.successors(state):
+        for step in background.successors(state):
+            sym, nxt = step
             if sym in identity_syms and nxt.matches(goal):
-                return payload, expansions
+                return step, expansions
             if sym in tailrec_syms:
-                expansions.append((payload, nxt))
+                expansions.append(step)
         return None, expansions
 
     final, cands = expand(initial)
@@ -327,24 +329,25 @@ def first_derivation(background, hypothesis: Hypothesis, initial, goal):
         return [final]
     visited = {initial}
     frames = [[cands, 0]]
-    payloads: list = []
+    steps: list = []
     while frames:
         cands, idx = frames[-1]
         if idx < len(cands):
             frames[-1][1] += 1
-            payload, nxt = cands[idx]
+            step = cands[idx]
+            nxt = step[1]
             if nxt in visited:
                 continue
             visited.add(nxt)
             final, nxt_cands = expand(nxt)
             if final is not None:
-                return payloads + [payload, final]
-            payloads.append(payload)
+                return steps + [step, final]
+            steps.append(step)
             frames.append([nxt_cands, 0])
         else:
             frames.pop()
-            if payloads:
-                payloads.pop()
+            if steps:
+                steps.pop()
     return None
 
 

@@ -2,11 +2,11 @@
 
 A state term bundles a map identifier, a position and the tile kind at that
 position.  Each ordered pair of adjacent passable cells is one ground step
-action.  ``ActionBackground`` reads them off the map's tiles per query:
-learning asks it with the position unbound, planning and behaviour
-generation with a bound one, so a solve builds only the actions at the
-states it visits.  ``instantiate_actions`` is its unbound query, the
-map's action listing.
+action, the atom ``step_<direction>(input, output)``.  ``ActionBackground``
+reads these atoms off the map's tiles per query, as (name, output) pairs:
+planning asks it at bound positions, learning at an unbound one.
+``GroundAction`` values are built only for the map's action listing,
+``instantiate_actions``, and for a plan's own steps.
 """
 
 from __future__ import annotations
@@ -88,9 +88,6 @@ class GroundAction:
     input: StateTerm
     output: StateTerm
 
-    def direction(self) -> str:
-        return direction_of(self.name)
-
     def as_line(self) -> str:
         return f"{self.name}({self.input!r},{self.output!r})."
 
@@ -108,10 +105,16 @@ class PlanningProblem:
 def instantiate_actions(grid: GridMap) -> tuple[GroundAction, ...]:
     """One ground action per ordered pair of adjacent passable cells, named
     by direction, with tile kinds read from the map; sorted by name, then
-    input position.  It is the map's background queried at an unbound
-    position."""
-    query = StateTerm(grid.id, UNKNOWN, UNKNOWN)
-    return tuple(act for _, act, _ in ActionBackground(grid).successors(query))
+    input position.  It is the map's action listing, read off the
+    background's bound queries."""
+    background = ActionBackground(grid)
+    actions = []
+    for pos in sorted(grid.passable_cells()):
+        here = StateTerm(grid.id, pos, grid.tile_at(pos))
+        actions.extend(GroundAction(name, here, nxt) for name, nxt in background.successors(here))
+    # Cells in Coord order; the stable sort by name keeps it per name.
+    actions.sort(key=lambda a: a.name)
+    return tuple(actions)
 
 
 def generalized_example(map_id: str) -> PlanningProblem:
@@ -146,46 +149,36 @@ _STEPS = tuple(sorted((action_name(d), *DELTA[d]) for d in DIRECTIONS))
 class ActionBackground:
     """The ground step actions of one map, read off its tiles per query.
 
-    ``successors(state)`` yields (name, action, next state) for every action
+    ``successors(state)`` yields (name, output state) for every step action
     whose input state unifies with the query.  At a bound position these are
     the steps to its passable neighbors, in sorted action-name order; at an
-    UNKNOWN position they are all such steps of the map, sorted by name,
-    then input position.
+    UNKNOWN position they are all such steps of the map, in the order of
+    ``instantiate_actions``: by name, then input position.
     """
 
     def __init__(self, grid: GridMap):
         self.grid = grid
 
     def successors(self, state: StateTerm):
-        if state.pos is not UNKNOWN:
-            return self._leaving(state, state.pos)
         grid = self.grid
-        # Cells in Coord order; the stable sort by name keeps it per name.
-        found = [
-            step
-            for x in range(grid.width)
-            for y in range(grid.height)
-            for step in self._leaving(state, Coord(x, y))
-        ]
-        found.sort(key=lambda step: step[0])
-        return found
-
-    def _leaving(self, state: StateTerm, pos: Coord):
-        """The steps out of one cell, when the query's map id and tile unify
-        with the map's."""
-        grid = self.grid
-        map_id, width, height, tiles = grid.id, grid.width, grid.height, grid.tiles
-        x, y = pos
-        if state.map_id != map_id or not (0 <= x < width and 0 <= y < height):
+        map_id = grid.id
+        if state.map_id != map_id:
+            return
+        if state.pos is UNKNOWN:
+            for a in instantiate_actions(grid):
+                if a.input.matches(state):
+                    yield a.name, a.output
+            return
+        width, height, tiles = grid.width, grid.height, grid.tiles
+        x, y = state.pos
+        if not (0 <= x < width and 0 <= y < height):
             return
         tile = tiles[y][x]
         if tile not in PASSABLE_TILES or not unifies(state.tile, tile):
             return
-        here = StateTerm(map_id, pos, tile)
         for name, dx, dy in _STEPS:
             nx, ny = x + dx, y + dy
             if 0 <= nx < width and 0 <= ny < height:
                 nxt_tile = tiles[ny][nx]
                 if nxt_tile in PASSABLE_TILES:
-                    nxt = StateTerm(map_id, Coord(nx, ny), nxt_tile)
-                    yield name, GroundAction(name, here, nxt), nxt
+                    yield name, StateTerm(map_id, Coord(nx, ny), nxt_tile)

@@ -14,6 +14,7 @@ from .model import (
     GroundAction,
     PlanningProblem,
     StateTerm,
+    direction_of,
     problem_from_map,
 )
 # Not called here; perfbench/selftest.py requires the binding (REQUIRED_BINDINGS).
@@ -61,11 +62,17 @@ def solve(grid: GridMap, hypothesis: Hypothesis, problem: PlanningProblem | None
         raise PlanningError("initial state must bind a position")
     if problem.initial == problem.goal:
         raise PlanningError("start equals goal: every clause applies at least one action")
-    payloads = first_derivation(ActionBackground(grid), hypothesis, problem.initial, problem.goal)
-    if payloads is None:
+    steps = first_derivation(ActionBackground(grid), hypothesis, problem.initial, problem.goal)
+    if steps is None:
         raise UnsolvableError(f"no derivation reaches the goal on map {grid.id!r}")
-    actions: tuple[GroundAction, ...] = tuple(payloads)
-    return Plan(actions, tuple(a.direction() for a in actions), problem.initial, problem.goal)
+    # The plan's own actions, chained from the initial state's map tile.
+    here = StateTerm(grid.id, problem.initial.pos, grid.tile_at(problem.initial.pos))
+    actions = []
+    for name, nxt in steps:
+        actions.append(GroundAction(name, here, nxt))
+        here = nxt
+    labels = tuple(direction_of(name) for name, _ in steps)
+    return Plan(tuple(actions), labels, problem.initial, problem.goal)
 
 
 def playback(grid: GridMap, labels) -> tuple[bool, Coord]:
@@ -120,14 +127,14 @@ def generate_behaviours(matrices, hypothesis: Hypothesis) -> tuple[tuple[FSCTupl
                 continue
             goal_pos = center.shifted(d)
             goal = StateTerm(matrix.id, goal_pos, matrix.tile_at(goal_pos))
-            actions = first_derivation(background, hypothesis, initial, goal)
-            if actions is None:
+            steps = first_derivation(background, hypothesis, initial, goal)
+            if steps is None:
                 raise UnsolvableError(f"matrix {matrix.id!r} has no {d} behaviour")
-            q = "q0"
-            steps = []
-            for act in actions:
-                a = act.direction()
-                steps.append(FSCTuple(q, observe(matrix, act.input.pos), a, STATE_FOR_ACTION[a]))
-                q = STATE_FOR_ACTION[a]
-            behaviours.append(tuple(steps))
+            q, pos = "q0", center
+            behaviour = []
+            for name, nxt in steps:
+                a = direction_of(name)
+                behaviour.append(FSCTuple(q, observe(matrix, pos), a, STATE_FOR_ACTION[a]))
+                q, pos = STATE_FOR_ACTION[a], nxt.pos
+            behaviours.append(tuple(behaviour))
     return tuple(behaviours)

@@ -1,7 +1,4 @@
-"""The narrative demos 01-04 run to completion against the public API.
-
-Demo 05 reproduces benchmark rows and takes seconds, so it is left out.
-"""
+"""The narrative demos 01-05 run to completion against the public API."""
 
 from __future__ import annotations
 
@@ -13,11 +10,11 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DEMOS = sorted(p.name for p in (ROOT / "demos").glob("0[1-4]_*.py"))
+DEMOS = sorted(p.name for p in (ROOT / "demos").glob("0[1-5]_*.py"))
 
 
-def test_four_demos_found():
-    assert len(DEMOS) == 4
+def test_five_demos_found():
+    assert len(DEMOS) == 5
 
 
 @pytest.mark.parametrize("demo", DEMOS)

@@ -149,6 +149,21 @@ class TestBacktracking:
         assert result.outcome == BUDGET_EXCEEDED
 
 
+class TestStepBudget:
+    @pytest.mark.parametrize("kind, moves", [(BACKTRACKING, 33), (REVERSING, 26)])
+    def test_budget_bounds_accepted_moves_exactly(self, learned_controller, maze_a, kind, moves):
+        run = execute(learned_controller, BasicEnvironment(maze_a), ExecutorConfig(kind))
+        assert run.outcome == SOLVED
+        assert len(run.path) - 1 == moves
+        exact = execute(learned_controller, BasicEnvironment(maze_a),
+                        ExecutorConfig(kind, step_budget=moves))
+        assert exact.outcome == SOLVED
+        assert exact.path == run.path
+        short = execute(learned_controller, BasicEnvironment(maze_a),
+                        ExecutorConfig(kind, step_budget=moves - 1))
+        assert short.outcome == BUDGET_EXCEEDED
+
+
 class TestReversing:
     def test_steps_dominate_backtracking(self, learned_controller, maze_a):
         bt = run_backtracking(learned_controller, BasicEnvironment(maze_a), ExecutorConfig())

@@ -144,6 +144,42 @@ class TestLearn:
         assert derivation is not None
 
 
+def assert_chained_steps(background, steps, initial, goal):
+    """Each (symbol, next state) step is an atom of the background out of
+    the state before it, starting at ``initial``; the last state matches
+    the goal."""
+    state = initial
+    for step in steps:
+        assert len(step) == 2
+        assert step in list(background.successors(state))
+        state = step[1]
+    assert state.matches(goal)
+
+
+class TestFirstDerivationSteps:
+    def test_action_steps_chain_from_initial_to_goal(self, solver_hypothesis):
+        from gridnav import generate_maze
+
+        maze = generate_maze(51, 51, seed=0)
+        problem = problem_from_map(maze)
+        background = ActionBackground(maze)
+        steps = first_derivation(background, solver_hypothesis, problem.initial, problem.goal)
+        assert len(steps) > 1
+        assert_chained_steps(background, steps, problem.initial, problem.goal)
+
+    def test_tuple_steps_chain_from_initial_to_goal(self, learned_controller, maze_a):
+        from gridnav import BasicEnvironment, ExecutorConfig, execute
+
+        run = execute(learned_controller, BasicEnvironment(maze_a), ExecutorConfig())
+        behaviour = [step.as_tuple() for step in run.trace]
+        initial, goal = behaviour_goal(behaviour)
+        background = TupleBackground()
+        program = learn([(initial, goal)], background, target="c")
+        steps = first_derivation(background, program, initial, goal)
+        assert [sym for sym, _ in steps] == behaviour
+        assert_chained_steps(background, steps, initial, goal)
+
+
 class TestHypothesisText:
     def test_round_trip(self):
         hypothesis = Hypothesis.from_text(SOLVER_TEXT)

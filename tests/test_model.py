@@ -107,7 +107,7 @@ class TestInstantiateActions:
 
 
 def expected_successors(actions, state):
-    return [(a.name, a, a.output) for a in actions if a.input.matches(state)]
+    return [(a.name, a.output) for a in actions if a.input.matches(state)]
 
 
 class TestActionBackground:

@@ -9,10 +9,12 @@ from gridnav import (
     PlanningError,
     PlanningProblem,
     StateTerm,
+    UNKNOWN,
     UnsolvableError,
     generate_behaviours,
     generate_lake,
     generate_maze,
+    instantiate_actions,
     is_chained,
     observation_matrices,
     observe,
@@ -50,6 +52,15 @@ class TestSolve:
             assert a.output == b.input
         ok, final = playback(maze_a, plan.labels)
         assert ok and final == maze_a.end
+
+    def test_plan_actions_are_listed_actions(self, solver_hypothesis, maze_a):
+        listing = set(instantiate_actions(maze_a))
+        problem = problem_from_map(maze_a)
+        unbound_tile = StateTerm(maze_a.id, maze_a.start, UNKNOWN)
+        for initial in (problem.initial, unbound_tile):
+            plan = solve(maze_a, solver_hypothesis, PlanningProblem(maze_a.id, initial, problem.goal))
+            assert plan.actions[0].input == problem.initial
+            assert set(plan.actions) <= listing
 
     def test_deterministic(self, solver_hypothesis, maze_b):
         first = solve(maze_b, solver_hypothesis)

@@ -251,6 +251,31 @@ class TestCli:
         assert result.returncode == 0, result.stderr
         assert "outcome: solved" in result.stdout
 
+    def test_run_solver_bom_file(self, tmp_path):
+        solver = tmp_path / "solver.pl"
+        run_cli("learn-solver", "--out", str(solver))
+        solver.write_bytes(b"\xef\xbb\xbf" + solver.read_bytes())
+        result = run_cli("run", "solver", "maze_a", str(solver))
+        assert result.returncode == 0, result.stderr
+        assert "outcome: solved" in result.stdout
+
+    def test_learn_fsc_bom_file(self, tmp_path):
+        solver = tmp_path / "solver.pl"
+        run_cli("learn-solver", "--out", str(solver))
+        solver.write_bytes(b"\xef\xbb\xbf" + solver.read_bytes())
+        result = run_cli("learn-fsc", str(solver))
+        assert result.returncode == 0, result.stderr
+        assert len(result.stdout.strip().splitlines()) == 128
+
+    def test_run_fsc_bt_bom_file(self, tmp_path):
+        from gridnav import fixture_controller
+
+        ctrl = tmp_path / "a.fsc"
+        ctrl.write_bytes(b"\xef\xbb\xbf" + fixture_controller("maze_a").to_text().encode())
+        result = run_cli("run", "fsc-bt", "maze_a", str(ctrl))
+        assert result.returncode == 0, result.stderr
+        assert "outcome: solved" in result.stdout
+
     def test_missing_map(self, tmp_path):
         solver = tmp_path / "solver.pl"
         run_cli("learn-solver", "--out", str(solver))
