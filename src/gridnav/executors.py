@@ -91,6 +91,10 @@ class ExecutorConfig:
     slam: bool = False
     step_budget: int | None = None
 
+    def __post_init__(self) -> None:
+        if self.step_budget is not None and self.step_budget < 0:
+            raise ExecutorError(f"step_budget must be non-negative, got {self.step_budget}")
+
     def budget_for(self, env) -> int:
         if self.step_budget is not None:
             return self.step_budget
@@ -136,7 +140,7 @@ class ExecutionResult:
 class _Frame:
     """A backtracking choice point: the state entered, its checkpoint token
     and SLAM pose, the lookup pairs still to try, and the step that entered
-    it (None at the root)."""
+    it as a plain (q, o, a, q_next) tuple (None at the root)."""
 
     __slots__ = ("q", "obs", "token", "pose", "pairs", "idx", "entering")
 
@@ -169,8 +173,10 @@ def run_backtracking(fsc: FSC, env, cfg: ExecutorConfig) -> ExecutionResult:
     token = env.checkpoint()
     visited = {token}
 
-    def kept_trace(stack) -> tuple[TraceStep, ...]:
-        return tuple(f.entering for f in stack if f.entering is not None)
+    def kept_trace(stack, *last) -> tuple[TraceStep, ...]:
+        """TraceSteps of the frames' entering steps, then of ``last``."""
+        kept = [f.entering for f in stack if f.entering is not None] + list(last)
+        return tuple(TraceStep(*step) for step in kept)
 
     stack = [_Frame("q0", obs, token, slam.pose if slam is not None else None,
                     fsc.lookup("q0", obs), None)]
@@ -197,9 +203,9 @@ def run_backtracking(fsc: FSC, env, cfg: ExecutorConfig) -> ExecutionResult:
         if slam is not None:
             slam_move(slam, a)
             slam_update(slam, obs2)
-        step = TraceStep(frame.q, frame.obs, a, q_next)
+        step = (frame.q, frame.obs, a, q_next)
         if at_goal:
-            trace = kept_trace(stack) + (step,)
+            trace = kept_trace(stack, step)
             return ExecutionResult(SOLVED, len(trace), trace, getattr(env, "trail", ()), slam)
         token = env.checkpoint()
         if token in visited:
@@ -226,24 +232,19 @@ def run_reversing(fsc: FSC, env, cfg: ExecutorConfig) -> ExecutionResult:
     slam = SlamMap() if cfg.slam else None
     if slam is not None:
         slam_update(slam, obs)
-    stack: list[tuple] = []
+    stack: list[tuple[bool, str, str]] = []  # (forward, a, q_next)
     trace: list[TraceStep] = []
 
     def push_pairs(exclude: str | None) -> None:
         for a, q_next in reversed(fsc.lookup(q, obs)):
-            if exclude is not None and a == exclude:
-                continue
-            stack.append(("forward", FSCTuple(q, obs, a, q_next)))
+            if a != exclude:
+                stack.append((True, a, q_next))
 
     push_pairs(exclude=None)
     while stack:
-        kind, entry = stack.pop()
-        if kind == "forward":
-            a, q_next = entry.a, entry.q_next
-            if slam is not None and not slam_permits(slam, a):
-                continue
-        else:
-            a, q_next = entry
+        forward, a, q_next = stack.pop()
+        if forward and slam is not None and not slam_permits(slam, a):
+            continue
         result = env.step(a)
         if result is None:
             continue
@@ -256,14 +257,14 @@ def run_reversing(fsc: FSC, env, cfg: ExecutorConfig) -> ExecutionResult:
         if slam is not None:
             slam_move(slam, a)
             slam_update(slam, obs2)
-        trace.append(TraceStep(q, obs, a, q_next, reversal=(kind == "reverse")))
+        trace.append(TraceStep(q, obs, a, q_next, reversal=not forward))
         q, obs = q_next, obs2
         if at_goal:
             return ExecutionResult(
                 SOLVED, len(trace), tuple(trace), getattr(env, "trail", ()), slam,
             )
-        if kind == "forward":
-            stack.append(("reverse", reverse_pair(a, q_next)))
+        if forward:
+            stack.append((False, *reverse_pair(a, q_next)))
             push_pairs(exclude=OPPOSITE[a])
     return ExecutionResult(EXHAUSTED, len(trace), tuple(trace), getattr(env, "trail", ()), slam)
 

@@ -154,10 +154,16 @@ class ActionBackground:
     the steps to its passable neighbors, in sorted action-name order; at an
     UNKNOWN position they are all such steps of the map, in the order of
     ``instantiate_actions``: by name, then input position.
+
+    Each passable cell's output ``StateTerm`` is built on first reach and
+    kept in a flat list indexed by ``y * width + x``, so every later reach of
+    the cell yields the same object.  The list lives and dies with the
+    background: one per solve, never shared between maps or runs.
     """
 
     def __init__(self, grid: GridMap):
         self.grid = grid
+        self._states: list[StateTerm | None] = [None] * (grid.width * grid.height)
 
     def successors(self, state: StateTerm):
         grid = self.grid
@@ -169,7 +175,7 @@ class ActionBackground:
                 if a.input.matches(state):
                     yield a.name, a.output
             return
-        width, height, tiles = grid.width, grid.height, grid.tiles
+        width, height, tiles, states = grid.width, grid.height, grid.tiles, self._states
         x, y = state.pos
         if not (0 <= x < width and 0 <= y < height):
             return
@@ -181,4 +187,8 @@ class ActionBackground:
             if 0 <= nx < width and 0 <= ny < height:
                 nxt_tile = tiles[ny][nx]
                 if nxt_tile in PASSABLE_TILES:
-                    yield name, StateTerm(map_id, Coord(nx, ny), nxt_tile)
+                    i = ny * width + nx
+                    nxt = states[i]
+                    if nxt is None:
+                        nxt = states[i] = StateTerm(map_id, Coord(nx, ny), nxt_tile)
+                    yield name, nxt

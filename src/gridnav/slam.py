@@ -5,12 +5,14 @@ Built while a controller explores an unknown map so the executor can refuse
 to re-enter cells it already occupied (except when reversing course), which
 is what stops it circling in open areas.  Poses are exact integer offsets
 from the start cell; grid actions are noiseless, so there is no uncertainty
-model.
+model.  ``slam_update`` reads each observation label's neighbor offsets and
+evidence from a table of the 16 p/u labels, built once at import.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 from .grid import DELTA, DIRECTIONS, UNKNOWN_GLYPH
 
@@ -22,9 +24,19 @@ VISITED = "visited"
 _CELL_GLYPHS = {PASSABLE: ".", UNPASSABLE: "#", VISITED: "o", UNOBSERVED: UNKNOWN_GLYPH}
 
 
+# Each p/u observation label (uuuu included) as its four neighbors'
+# (dx, dy, evidence), in DIRECTIONS order.
+_EVIDENCE = {
+    "".join(label): tuple((*DELTA[d], PASSABLE if ch == "p" else UNPASSABLE)
+                          for ch, d in zip(label, DIRECTIONS))
+    for label in product("pu", repeat=4)
+}
+
+
 class SlamFault(RuntimeError):
-    """An observation contradicted previously recorded evidence, which can
-    only mean the dead-reckoned pose has drifted."""
+    """An observation was not a p/u label or contradicted previously
+    recorded evidence, which can only mean the dead-reckoned pose has
+    drifted."""
 
 
 @dataclass
@@ -41,28 +53,29 @@ class SlamMap:
     def cell(self, offset: tuple[int, int]) -> str:
         return self.cells.get(offset, UNOBSERVED)
 
-    def _record(self, offset: tuple[int, int], value: str) -> None:
-        current = self.cells.get(offset, UNOBSERVED)
-        if current == VISITED:
-            if value == UNPASSABLE:
-                raise SlamFault(f"cell {offset} was visited but now observes unpassable")
-            return
-        if current != UNOBSERVED and current != value and value != VISITED:
-            raise SlamFault(f"cell {offset} observed {value!r} after {current!r}")
-        if value == VISITED and current == UNPASSABLE:
-            raise SlamFault(f"cell {offset} was unpassable but is being visited")
-        self.cells[offset] = value
-
 
 def slam_update(slam: SlamMap, obs: str) -> SlamMap:
     """Mark the agent's cell visited and record each neighbor's passability
     from the observation label.  Idempotent for a repeated observation;
-    contradictions raise SlamFault."""
-    slam._record(slam.pose, VISITED)
-    x, y = slam.pose
-    for ch, d in zip(obs, DIRECTIONS):
-        dx, dy = DELTA[d]
-        slam._record((x + dx, y + dy), PASSABLE if ch == "p" else UNPASSABLE)
+    contradictions and labels outside the 16 p/u labels raise SlamFault."""
+    evidence = _EVIDENCE.get(obs)
+    if evidence is None:
+        raise SlamFault(f"observation label {obs!r} is not one of the 16 p/u labels")
+    cells, pose = slam.cells, slam.pose
+    if cells.get(pose) == UNPASSABLE:
+        raise SlamFault(f"cell {pose} was unpassable but is being visited")
+    cells[pose] = VISITED
+    x, y = pose
+    for dx, dy, value in evidence:
+        offset = (x + dx, y + dy)
+        current = cells.get(offset, UNOBSERVED)
+        if current == UNOBSERVED:
+            cells[offset] = value
+        elif current == VISITED:
+            if value == UNPASSABLE:
+                raise SlamFault(f"cell {offset} was visited but now observes unpassable")
+        elif current != value:
+            raise SlamFault(f"cell {offset} observed {value!r} after {current!r}")
     return slam
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+import gridnav.executors as executors
 from gridnav import (
     BACKTRACKING,
     BUDGET_EXCEEDED,
@@ -15,6 +16,7 @@ from gridnav import (
     OBSERVATION_LABELS,
     REVERSING,
     SOLVED,
+    TraceStep,
     execute,
     generate_maze,
     is_chained,
@@ -150,6 +152,16 @@ class TestBacktracking:
 
 
 class TestStepBudget:
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ExecutorError, match="non-negative"):
+            ExecutorConfig(step_budget=-3)
+
+    @pytest.mark.parametrize("kind", [BACKTRACKING, REVERSING])
+    def test_zero_budget_is_valid_and_keeps_no_step(self, learned_controller, maze_a, kind):
+        run = execute(learned_controller, BasicEnvironment(maze_a), ExecutorConfig(kind, step_budget=0))
+        assert run.outcome == BUDGET_EXCEEDED
+        assert run.trace == ()
+
     @pytest.mark.parametrize("kind, moves", [(BACKTRACKING, 33), (REVERSING, 26)])
     def test_budget_bounds_accepted_moves_exactly(self, learned_controller, maze_a, kind, moves):
         run = execute(learned_controller, BasicEnvironment(maze_a), ExecutorConfig(kind))
@@ -292,3 +304,51 @@ class TestExecutionResult:
     def test_unknown_kind_rejected(self, learned_controller, maze_a):
         with pytest.raises(ExecutorError):
             execute(learned_controller, BasicEnvironment(maze_a), ExecutorConfig("sideways"))
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace ``module.name`` with a wrapper that counts its calls and
+    still returns what the original returns."""
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+class TestValueObjectChurn:
+    """Count guards: the hot loops build value objects only for what they
+    return."""
+
+    @pytest.mark.parametrize("budget, outcome", [(None, SOLVED), (12, BUDGET_EXCEEDED)])
+    @pytest.mark.parametrize("slam", [False, True])
+    def test_backtracking_builds_only_the_returned_trace_steps(
+            self, monkeypatch, learned_controller, maze_a, budget, outcome, slam):
+        built = count_calls(monkeypatch, executors, "TraceStep")
+        cfg = ExecutorConfig(BACKTRACKING, slam=slam, step_budget=budget)
+        result = run_backtracking(learned_controller, BasicEnvironment(maze_a), cfg)
+        assert result.outcome == outcome
+        assert result.trace
+        assert len(built) == len(result.trace)
+
+    @pytest.mark.parametrize("slam", [False, True])
+    def test_reversing_builds_no_controller_tuples(
+            self, monkeypatch, learned_controller, maze_a, slam):
+        built = count_calls(monkeypatch, executors, "FSCTuple")
+        result = run_reversing(learned_controller, BasicEnvironment(maze_a),
+                               ExecutorConfig(REVERSING, slam=slam))
+        assert result.outcome == SOLVED
+        assert built == []
+
+    @pytest.mark.parametrize("kind, slam", [(BACKTRACKING, False), (BACKTRACKING, True),
+                                            (REVERSING, False), (REVERSING, True)])
+    @pytest.mark.parametrize("budget", [None, 12])
+    def test_trace_entries_are_trace_steps(self, learned_controller, maze_a, kind, slam, budget):
+        result = execute(learned_controller, BasicEnvironment(maze_a),
+                         ExecutorConfig(kind, slam=slam, step_budget=budget))
+        assert result.trace
+        assert all(type(step) is TraceStep for step in result.trace)

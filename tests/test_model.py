@@ -133,6 +133,21 @@ class TestActionBackground:
             assert list(background.successors(StateTerm("other", cell, UNKNOWN))) == []
             assert list(background.successors(StateTerm(grid.id, cell, "w"))) == []
 
+    def test_cell_state_built_once_per_background(self, maze_a):
+        def reaches(background, cell):
+            """The output states for ``cell`` from each of its neighbors."""
+            return [nxt for _, n in maze_a.neighbors(cell)
+                    for _, nxt in background.successors(StateTerm(maze_a.id, n, UNKNOWN))
+                    if nxt.pos == cell]
+
+        cell = next(c for c in maze_a.passable_cells() if len(maze_a.neighbors(c)) >= 2)
+        first = reaches(ActionBackground(maze_a), cell)
+        assert len(first) >= 2
+        assert all(state is first[0] for state in first)
+        fresh = reaches(ActionBackground(maze_a), cell)
+        assert fresh == first
+        assert all(state is not first[0] for state in fresh)
+
     def test_unbound_position_yields_every_matching_action(self):
         for grid in [zero_map()] + differential_maps():
             actions = reference_actions(grid)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +28,8 @@ from gridnav import (
 from gridnav.workbench import REPORT_HEADER
 
 from test_grid import adjacency_edges, connected_component
+
+MAZE_A_CONTROLLER = str(Path(__file__).resolve().parent.parent / "src/gridnav/controllers/maze_a.fsc")
 
 # sha256 of pipeline_lines: any change to a learned program, a behaviour, an
 # action listing, a plan, an executor run or a desk lake row shows here.
@@ -241,6 +244,21 @@ class TestCli:
         assert result.returncode == 2
         assert "error:" in result.stderr
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("command", [
+        ("run", "fsc-bt", "maze_a", MAZE_A_CONTROLLER),
+        ("experiment", "--agent", "fsc-bt", "--env", "lake"),
+    ])
+    def test_negative_budget_is_an_error(self, command):
+        result = run_cli(*command, "--budget", "-3")
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: step_budget must be non-negative")
+        assert "budget_exceeded" not in result.stdout
+
+    def test_zero_budget_runs(self):
+        result = run_cli("run", "fsc-bt", "maze_a", MAZE_A_CONTROLLER, "--budget", "0")
+        assert result.returncode == 0
+        assert "outcome: budget_exceeded" in result.stdout
 
     def test_run_bom_crlf_map_file(self, tmp_path):
         solver = tmp_path / "solver.pl"
