@@ -144,7 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("agent", choices=AGENTS)
     p.add_argument("map", help="map file path or fixture name (e.g. maze_a)")
     p.add_argument("brain", help="solver file for the solver agent, controller file otherwise")
-    p.add_argument("--budget", type=int, default=None, help="step budget (default 10x cell count)")
+    p.add_argument("--budget", type=int, default=None,
+                   help="step budget of a controller agent (default 10x cell count)")
     p.add_argument("--render", action="store_true", help="render the walked path")
     p.set_defaults(fn=_cmd_run)
 
@@ -152,7 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--agent", choices=AGENTS, required=True)
     p.add_argument("--env", choices=("maze", "lake"), required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=None,
+                   help="step budget of a controller agent (default 10x cell count)")
     p.add_argument("--full", action="store_true", help="full-scale instance counts (100 mazes at 101x101; 50 rolls per lake)")
     p.add_argument("--csv", help="write per-instance records to this file")
     p.set_defaults(fn=_cmd_experiment)

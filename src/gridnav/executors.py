@@ -137,6 +137,11 @@ class ExecutionResult:
         return "\n".join(lines) + "\n"
 
 
+def _trail_within_budget(env) -> tuple[Coord, ...]:
+    """The environment's trail without the move that overran the budget."""
+    return getattr(env, "trail", ())[:-1]
+
+
 class _Frame:
     """A backtracking choice point: the state entered, its checkpoint token
     and SLAM pose, the lookup pairs still to try, and the step that entered
@@ -198,7 +203,8 @@ def run_backtracking(fsc: FSC, env, cfg: ExecutorConfig) -> ExecutionResult:
         moves_left -= 1
         if moves_left < 0:
             kept = kept_trace(stack)
-            return ExecutionResult(BUDGET_EXCEEDED, len(kept), kept, getattr(env, "trail", ()), slam)
+            return ExecutionResult(BUDGET_EXCEEDED, len(kept), kept,
+                                   _trail_within_budget(env), slam)
         obs2, at_goal = result
         if slam is not None:
             slam_move(slam, a)
@@ -251,7 +257,7 @@ def run_reversing(fsc: FSC, env, cfg: ExecutorConfig) -> ExecutionResult:
         moves_left -= 1
         if moves_left < 0:
             return ExecutionResult(
-                BUDGET_EXCEEDED, len(trace), tuple(trace), getattr(env, "trail", ()), slam,
+                BUDGET_EXCEEDED, len(trace), tuple(trace), _trail_within_budget(env), slam,
             )
         obs2, at_goal = result
         if slam is not None:

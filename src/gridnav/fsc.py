@@ -126,7 +126,7 @@ class FSC:
 
     @classmethod
     def from_text(cls, text: str) -> "FSC":
-        tuples: list[FSCTuple] = []
+        tuples: set[FSCTuple] = set()
         for n, line in enumerate(text.removeprefix("\ufeff").splitlines()):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -137,7 +137,7 @@ class FSC:
             t = FSCTuple(*parts)
             if t in tuples:
                 raise FSCError(f"line {n}: duplicate tuple {line!r}")
-            tuples.append(t)
+            tuples.add(t)
         return cls.of(tuples)
 
 

@@ -12,7 +12,8 @@ as any object with one method over hashable states that have
 every atom whose first argument unifies with the state, in sorted symbol
 order (the order of ``Hypothesis.ordered``).  ``ActionBackground`` (the
 step actions of a map, read off its tiles) and ``TupleBackground`` (the
-controller-tuple universe applied to label streams) implement it.
+controller tuples that consume the heads of label streams, read off those
+heads; no tuple universe is built) implement it.
 
 Two engines run over it: ``prove`` collects every simple derivation, for
 learning; ``first_derivation`` returns the first derivation of a program,
@@ -25,9 +26,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from itertools import product
 from typing import Iterable, Sequence
 
-from .fsc import FSC, FSCTuple, tuple_universe
+from .fsc import ACTION_LABELS, CONTROLLER_STATES, FSC, OBSERVATION_LABELS, FSCError, FSCTuple
 from .model import UNKNOWN, PlanningProblem, unifies
 
 
@@ -88,11 +91,11 @@ class Hypothesis:
         return len(self.clauses)
 
     def __iter__(self):
-        return iter(self.ordered())
+        return iter(self._ordered)
 
-    def ordered(self) -> tuple[DefiniteClause, ...]:
-        """Canonical clause order: Identity instances before Tailrec ones,
-        each group sorted by body symbol."""
+    @cached_property
+    def _ordered(self) -> tuple[DefiniteClause, ...]:
+        """The canonical clause order, sorted once per hypothesis."""
         return tuple(
             sorted(
                 self.clauses,
@@ -100,15 +103,16 @@ class Hypothesis:
             )
         )
 
+    def ordered(self) -> tuple[DefiniteClause, ...]:
+        """Canonical clause order: Identity instances before Tailrec ones,
+        each group sorted by body symbol."""
+        return self._ordered
+
     def body_symbols(self, metarule: Metarule) -> tuple:
-        return tuple(
-            c.body_symbol
-            for c in self.ordered()
-            if c.metarule is metarule
-        )
+        return tuple(c.body_symbol for c in self._ordered if c.metarule is metarule)
 
     def to_text(self) -> str:
-        return "\n".join(c.to_text() for c in self.ordered()) + "\n"
+        return "\n".join(c.to_text() for c in self._ordered) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "Hypothesis":
@@ -141,35 +145,52 @@ class Hypothesis:
         return cls.of(clauses, target)
 
 
-@dataclass(frozen=True)
 class LabelStreams:
     """Resolution state for controller learning: four label streams consumed
-    in lockstep, one (q, o, a, q') quadruple per applied tuple."""
+    in lockstep, one (q, o, a, q') quadruple per applied tuple.  Treated as
+    immutable: the hash is computed once, on construction."""
 
-    q_seq: tuple
-    o_seq: tuple
-    a_seq: tuple
-    q_next_seq: tuple
+    __slots__ = ("q_seq", "o_seq", "a_seq", "q_next_seq", "_hash")
+
+    def __init__(self, q_seq: tuple, o_seq: tuple, a_seq: tuple, q_next_seq: tuple):
+        self.q_seq = q_seq
+        self.o_seq = o_seq
+        self.a_seq = a_seq
+        self.q_next_seq = q_next_seq
+        self._hash = hash((q_seq, o_seq, a_seq, q_next_seq))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not LabelStreams:
+            return NotImplemented
+        return (self._hash == other._hash
+                and self.q_seq == other.q_seq and self.o_seq == other.o_seq
+                and self.a_seq == other.a_seq and self.q_next_seq == other.q_next_seq)
+
+    def __repr__(self) -> str:
+        return (f"LabelStreams(q_seq={self.q_seq!r}, o_seq={self.o_seq!r}, "
+                f"a_seq={self.a_seq!r}, q_next_seq={self.q_next_seq!r})")
 
     def heads(self) -> tuple | None:
-        seqs = (self.q_seq, self.o_seq, self.a_seq, self.q_next_seq)
-        if not all(seqs):
-            return None
-        return tuple(s[0] for s in seqs)
+        q, o, a, q_next = self.q_seq, self.o_seq, self.a_seq, self.q_next_seq
+        if q and o and a and q_next:
+            return q[0], o[0], a[0], q_next[0]
+        return None
 
     def tails(self) -> "LabelStreams":
         return LabelStreams(self.q_seq[1:], self.o_seq[1:], self.a_seq[1:], self.q_next_seq[1:])
 
     def matches(self, other: "LabelStreams") -> bool:
-        for mine, theirs in (
-            (self.q_seq, other.q_seq),
-            (self.o_seq, other.o_seq),
-            (self.a_seq, other.a_seq),
-            (self.q_next_seq, other.q_next_seq),
-        ):
-            if len(mine) != len(theirs) or not all(map(unifies, mine, theirs)):
-                return False
-        return True
+        if (len(self.q_seq) != len(other.q_seq) or len(self.o_seq) != len(other.o_seq)
+                or len(self.a_seq) != len(other.a_seq)
+                or len(self.q_next_seq) != len(other.q_next_seq)):
+            return False
+        return (all(map(unifies, self.q_seq, other.q_seq))
+                and all(map(unifies, self.o_seq, other.o_seq))
+                and all(map(unifies, self.a_seq, other.a_seq))
+                and all(map(unifies, self.q_next_seq, other.q_next_seq)))
 
 
 EMPTY_STREAMS = LabelStreams((), (), (), ())
@@ -193,17 +214,29 @@ def behaviour_goal(behaviour: Sequence[FSCTuple], initial_q: str | None = None):
 
 
 class TupleBackground:
-    """The controller-tuple universe as a ground background: each 4-tuple is
-    one dyadic symbol that consumes a matching quadruple of stream heads."""
+    """The controller tuples as a ground background: each well-formed 4-tuple
+    is one dyadic symbol that consumes a matching quadruple of stream heads.
+
+    The matching tuples are read off the heads, so no tuple universe is
+    built: ground heads name at most one tuple, and an UNKNOWN head ranges
+    over its field's alphabet."""
 
     def __init__(self):
-        self._index = {(t.q, t.o, t.a, t.q_next): t for t in tuple_universe()}
+        self._alphabets = (CONTROLLER_STATES, OBSERVATION_LABELS, ACTION_LABELS, CONTROLLER_STATES)
 
     def _matching(self, heads: tuple) -> list[FSCTuple]:
+        """Every well-formed tuple unifying with the heads, in sorted order."""
         if UNKNOWN not in heads:
-            t = self._index.get(heads)
-            return [t] if t is not None else []
-        return sorted(t for key, t in self._index.items() if all(map(unifies, heads, key)))
+            try:
+                return [FSCTuple(*heads)]
+            except FSCError:
+                return []
+        choices = [alphabet if h is UNKNOWN else (h,)
+                   for h, alphabet in zip(heads, self._alphabets)]
+        try:
+            return sorted(FSCTuple(*fields) for fields in product(*choices))
+        except FSCError:
+            return []
 
     def successors(self, state: LabelStreams):
         heads = state.heads()

@@ -105,6 +105,8 @@ def run_single(agent: str, grid: GridMap, *, solver: Hypothesis | None = None,
     if agent == SOLVER:
         if solver is None:
             raise ValueError("solver agent needs a hypothesis")
+        if step_budget is not None:
+            raise ValueError("step_budget applies to controller agents only")
         try:
             plan = solve(grid, solver, problem_from_map(grid))
         except UnsolvableError:

@@ -175,6 +175,17 @@ class TestStepBudget:
                         ExecutorConfig(kind, step_budget=moves - 1))
         assert short.outcome == BUDGET_EXCEEDED
 
+    @pytest.mark.parametrize("kind", [BACKTRACKING, REVERSING])
+    @pytest.mark.parametrize("slam", [False, True])
+    @pytest.mark.parametrize("budget", [0, 1, 12])
+    def test_overrun_path_stops_at_the_budget(self, learned_controller, maze_a, kind, slam, budget):
+        # The move that overran the budget is not part of the reported path.
+        run = execute(learned_controller, BasicEnvironment(maze_a),
+                      ExecutorConfig(kind, slam=slam, step_budget=budget))
+        assert run.outcome == BUDGET_EXCEEDED
+        assert len(run.path) - 1 == budget
+        assert run.path[0] == maze_a.require_endpoints()[0]
+
 
 class TestReversing:
     def test_steps_dominate_backtracking(self, learned_controller, maze_a):

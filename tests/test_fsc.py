@@ -155,6 +155,19 @@ class TestControllerFiles:
         with pytest.raises(FSCError, match="duplicate"):
             FSC.from_text("q0,upuu,right,q1\nq0,upuu,right,q1\n")
 
+    def test_duplicate_message_names_the_later_line(self):
+        text = "# header\nq0,upuu,right,q1\nq1,pppp,up,q0\n q0,upuu,right,q1 \n"
+        with pytest.raises(FSCError, match=r"^line 3: duplicate tuple 'q0,upuu,right,q1'$"):
+            FSC.from_text(text)
+
+    def test_universe_round_trips(self):
+        universe = FSC(tuple_universe())
+        text = universe.to_text()
+        assert len(text.splitlines()) == 960
+        assert FSC.from_text(text) == universe
+        with pytest.raises(FSCError, match=r"^line 960: duplicate tuple"):
+            FSC.from_text(text + text.splitlines()[0] + "\n")
+
     def test_malformed_line_rejected(self):
         with pytest.raises(FSCError):
             FSC.from_text("q0,upuu,right\n")

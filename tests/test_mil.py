@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 
+import gridnav.mil as mil
 from gridnav import (
+    ACTION_LABELS,
+    CONTROLLER_STATES,
     DIRECTIONS,
     ActionBackground,
     DefiniteClause,
@@ -10,6 +15,7 @@ from gridnav import (
     FSCTuple,
     Hypothesis,
     Metarule,
+    OBSERVATION_LABELS,
     TupleBackground,
     UNKNOWN,
     UnlearnableError,
@@ -17,12 +23,16 @@ from gridnav import (
     generalized_example,
     hypothesis_to_tuples,
     learn,
+    learn_controller,
+    learn_solver,
     parse_map,
     problem_from_map,
     prove,
+    tuple_universe,
     zero_map,
 )
 from gridnav.mil import LabelStreams, first_derivation
+from gridnav.model import unifies
 
 SOLVER_TEXT = """\
 s(A,B) :- step_down(A,B).
@@ -194,8 +204,98 @@ class TestHypothesisText:
         with pytest.raises(Exception):
             Hypothesis.from_text("s(A,B) :- step_up(A,C), t(C,B).\n")
 
+    def test_clause_order_is_sorted_once(self, monkeypatch):
+        hypothesis = Hypothesis.from_text(SOLVER_TEXT)
+        keys = []
+        original = mil._symbol_key
+
+        def counting(symbol):
+            keys.append(symbol)
+            return original(symbol)
+
+        monkeypatch.setattr(mil, "_symbol_key", counting)
+        assert hypothesis.to_text() == SOLVER_TEXT
+        assert list(hypothesis) == list(hypothesis.ordered())
+        assert hypothesis.body_symbols(Metarule.IDENTITY) == hypothesis.body_symbols(Metarule.TAILREC)
+        grid = parse_map("se", "pair")
+        problem = problem_from_map(grid)
+        for _ in range(2):
+            first_derivation(ActionBackground(grid), hypothesis, problem.initial, problem.goal)
+        assert len(keys) == len(hypothesis)
+
+
+class TestLabelStreams:
+    def test_equal_streams_hash_alike(self):
+        one = LabelStreams(("q0", "q1"), ("upuu", "pppp"), ("right", "up"), ("q1", "q0"))
+        two = LabelStreams(("q0", "q1"), ("upuu", "pppp"), ("right", "up"), ("q1", "q0"))
+        assert one == two and hash(one) == hash(two)
+        assert len({one, two, one.tails(), two.tails()}) == 2
+        assert one != one.tails()
+        assert one != (one.q_seq, one.o_seq, one.a_seq, one.q_next_seq)
+
+    def test_repr_names_the_streams(self):
+        assert repr(LabelStreams(("q0",), (), (), ())) == (
+            "LabelStreams(q_seq=('q0',), o_seq=(), a_seq=(), q_next_seq=())")
+
+    def test_matches_needs_equal_lengths_then_unification(self):
+        state = LabelStreams(("q0",), ("upuu",), ("right",), ("q1",))
+        pattern = LabelStreams((UNKNOWN,), ("upuu",), (UNKNOWN,), ("q1",))
+        assert state.matches(pattern) and pattern.matches(state)
+        assert not state.matches(LabelStreams(("q0",), ("upuu",), ("left",), ("q1",)))
+        longer = LabelStreams((UNKNOWN, UNKNOWN), ("upuu",), ("right",), ("q1",))
+        assert not state.matches(longer) and not longer.matches(state)
+        assert state.tails().matches(LabelStreams((), (), (), ()))
+
+    def test_heads_need_every_stream(self):
+        assert LabelStreams(("q0",), ("upuu",), ("right",), ("q1",)).heads() == (
+            "q0", "upuu", "right", "q1")
+        assert LabelStreams(("q0",), ("upuu",), (), ("q1",)).heads() is None
+
+
+def reference_matching(index, heads):
+    """The matching rule over an explicit tuple universe: the lookup by key
+    for ground heads, else every unifying key in sorted tuple order."""
+    if UNKNOWN not in heads:
+        t = index.get(heads)
+        return [t] if t is not None else []
+    return sorted(t for key, t in index.items() if all(map(unifies, heads, key)))
+
 
 class TestTupleBackground:
+    def test_successors_equal_the_universe_index(self):
+        # Each field is UNKNOWN, one of its alphabet's labels, or a label
+        # outside it; successors must match the indexed universe in order.
+        index = {(t.q, t.o, t.a, t.q_next): t for t in tuple_universe()}
+        fields = [(UNKNOWN, *alphabet, "x")
+                  for alphabet in (CONTROLLER_STATES, OBSERVATION_LABELS, ACTION_LABELS,
+                                   CONTROLLER_STATES)]
+        background = TupleBackground()
+        second = ("q1", "pppp", "up", "q0")
+        tails = LabelStreams(*((label,) for label in second))
+        patterns = 0
+        for heads in product(*fields):
+            state = LabelStreams(*zip(heads, second))
+            expected = reference_matching(index, heads)
+            got = list(background.successors(state))
+            assert [sym for sym, _ in got] == expected, heads
+            assert all(nxt == tails for _, nxt in got)
+            patterns += 1
+        assert patterns == 6 * 17 * 6 * 6
+
+    def test_learning_validates_fewer_tuples_than_the_universe(self, monkeypatch):
+        universe_size = len(tuple_universe())
+        validated = []
+        original = FSCTuple.__post_init__
+
+        def counting(self):
+            validated.append(self)
+            original(self)
+
+        monkeypatch.setattr(FSCTuple, "__post_init__", counting)
+        controller = learn_controller(learn_solver())
+        assert len(controller.tuples) == 128
+        assert len(validated) < universe_size
+
     def test_ground_streams_match_exactly_one_symbol(self):
         background = TupleBackground()
         initial, goal = behaviour_goal([FSCTuple("q0", "upuu", "right", "q1")])

@@ -110,6 +110,10 @@ class TestExperiments:
         with pytest.raises(ValueError):
             run_single("teleport", maze_a)
 
+    def test_solver_rejects_a_step_budget(self, solver_hypothesis, maze_a):
+        with pytest.raises(ValueError, match="controller agents only"):
+            run_single("solver", maze_a, solver=solver_hypothesis, step_budget=100)
+
     def test_fewer_matrices_fewer_tuples(self, solver_hypothesis, learned_controller):
         reduced = learn_controller(solver_hypothesis, observation_matrices()[:-1])
         assert len(reduced.tuples) < len(learned_controller.tuples)
@@ -254,6 +258,20 @@ class TestCli:
         assert result.returncode == 2
         assert result.stderr.startswith("error: step_budget must be non-negative")
         assert "budget_exceeded" not in result.stdout
+
+    @pytest.mark.parametrize("budget", ["-3", "50"])
+    @pytest.mark.parametrize("command", ["run", "experiment"])
+    def test_solver_budget_is_an_error(self, tmp_path, solver_hypothesis, command, budget):
+        if command == "run":
+            solver = tmp_path / "solver.pl"
+            solver.write_text(solver_hypothesis.to_text())
+            args = ("run", "solver", "maze_a", str(solver))
+        else:
+            args = ("experiment", "--agent", "solver", "--env", "lake")
+        result = run_cli(*args, "--budget", budget)
+        assert result.returncode == 2
+        assert result.stderr == "error: step_budget applies to controller agents only\n"
+        assert result.stdout == ""
 
     def test_zero_budget_runs(self):
         result = run_cli("run", "fsc-bt", "maze_a", MAZE_A_CONTROLLER, "--budget", "0")
