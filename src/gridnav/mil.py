@@ -15,10 +15,19 @@ step actions of a map, read off its tiles) and ``TupleBackground`` (the
 controller tuples that consume the heads of label streams, read off those
 heads; no tuple universe is built) implement it.
 
-Two engines run over it: ``prove`` collects every simple derivation, for
-learning; ``first_derivation`` returns the first derivation of a program,
-for planning and behaviour generation.  Neither re-enters a state on one
-derivation, so both halt without a depth budget.
+Two engines run over it: ``prove`` collects the metasubstitutions of every
+derivation of an example, for learning; ``first_derivation`` returns the
+first derivation of a program, for planning and behaviour generation.
+
+``prove`` builds the Top program of one example (Patsantzis & Muggleton,
+*Top program construction and reduction for polynomial time
+meta-interpretive learning*, MLJ 2021) in one reachability pass: one
+``successors`` call per reachable state.  The pass is exact on the two
+kinds of problem learning poses, label streams (acyclic) and the
+generalized example, so the solver learns in time linear in any map it is
+given.  Any other input runs ``prove_by_enumeration``, which enumerates
+every simple derivation at a cost exponential in the map.  No engine
+re-enters a state on one derivation, so all halt without a depth budget.
 """
 
 from __future__ import annotations
@@ -111,6 +120,13 @@ class Hypothesis:
     def body_symbols(self, metarule: Metarule) -> tuple:
         return tuple(c.body_symbol for c in self._ordered if c.metarule is metarule)
 
+    @cached_property
+    def symbol_sets(self) -> tuple[frozenset, frozenset]:
+        """The Identity and the Tailrec body symbols, as sets built once
+        per hypothesis."""
+        return (frozenset(c.body_symbol for c in self.clauses if c.metarule is Metarule.IDENTITY),
+                frozenset(c.body_symbol for c in self.clauses if c.metarule is Metarule.TAILREC))
+
     def to_text(self) -> str:
         return "\n".join(c.to_text() for c in self._ordered) + "\n"
 
@@ -199,18 +215,21 @@ EMPTY_STREAMS = LabelStreams((), (), (), ())
 def behaviour_goal(behaviour: Sequence[FSCTuple], initial_q: str | None = None):
     """Encode a behaviour as a resolution goal: initial streams threading its
     labels (optionally rebasing the first controller state), empty goal."""
+    if initial_q is None and behaviour:
+        initial_q = behaviour[0].q
+    return behaviour_goals(behaviour, (initial_q,))[0]
+
+
+def behaviour_goals(behaviour: Sequence[FSCTuple], initial_qs: Iterable[str]) -> list:
+    """``behaviour_goal`` once per initial controller state.  The
+    behaviour's streams are read once; the goals differ only in the first
+    controller state."""
     if not behaviour:
         raise ValueError("behaviour must contain at least one tuple")
-    q_seq = tuple(t.q for t in behaviour)
-    if initial_q is not None:
-        q_seq = (initial_q,) + q_seq[1:]
-    initial = LabelStreams(
-        q_seq,
-        tuple(t.o for t in behaviour),
-        tuple(t.a for t in behaviour),
-        tuple(t.q_next for t in behaviour),
-    )
-    return initial, EMPTY_STREAMS
+    q_seq, o_seq, a_seq, q_next_seq = zip(*behaviour)
+    q_rest = q_seq[1:]
+    return [(LabelStreams((q,) + q_rest, o_seq, a_seq, q_next_seq), EMPTY_STREAMS)
+            for q in initial_qs]
 
 
 class TupleBackground:
@@ -258,18 +277,99 @@ class _Frame:
         self.success = False
 
 
+_UNSEEN = object()
+
+
 def prove(initial, goal, background) -> frozenset:
+    """Return the metasubstitutions (metarule, body symbol) that the
+    successful simple derivations of the goal use: the Top program of one
+    example.  Returns the empty set when the goal is unsatisfiable.
+
+    One iterative post-order pass over the states reachable from
+    ``initial`` calls ``background.successors`` once per state.  Every atom
+    into a state that matches the goal gives Identity; every atom into a
+    state that reaches the goal gives Tailrec.  The cost is linear in the
+    reached atoms: the generalized example on a 5x5 open floor takes under a
+    millisecond where enumerating its derivations took 43 s.
+
+    Reachability equals simple derivability, and the pass is exact, in two
+    cases it checks:
+
+    - the reached graph is acyclic, so every path is simple.  This holds for
+      label streams, since each atom consumes one head of each stream;
+    - every reached state unifies with both ``initial`` and ``goal``, and
+      no atom re-enters ``initial``.  Each atom out of a reached state is
+      then also an atom out of ``initial``, so each metasubstitution has a
+      derivation of at most two steps.  This is the generalized example.
+
+    Any other input (a bound example on a cyclic map that reaches the goal)
+    runs ``prove_by_enumeration``, so ``prove`` returns what the
+    enumeration returns on every input.
+    """
+    identity = set()
+    tailrec = set()
+    # A state's value is None while its frame is on the stack, then whether
+    # it reaches the goal.
+    reaches = {initial: None}
+    back_edges = []
+    # Frame: [atoms out of the state, next atom index, reaches the goal, state].
+    stack = [[list(background.successors(initial)), 0, False, initial]]
+    while stack:
+        frame = stack[-1]
+        atoms, idx = frame[0], frame[1]
+        if idx < len(atoms):
+            frame[1] = idx + 1
+            sym, nxt = atoms[idx]
+            if nxt.matches(goal):
+                identity.add(sym)
+                frame[2] = True
+            seen = reaches.get(nxt, _UNSEEN)
+            if seen is _UNSEEN:
+                reaches[nxt] = None
+                stack.append([list(background.successors(nxt)), 0, False, nxt])
+            elif seen is None:
+                back_edges.append((sym, nxt))
+            elif seen:
+                tailrec.add(sym)
+                frame[2] = True
+        else:
+            stack.pop()
+            reaches[frame[3]] = frame[2]
+            if frame[2] and stack:
+                # The parent's last atom entered this state.
+                parent = stack[-1]
+                tailrec.add(parent[0][parent[1] - 1][0])
+                parent[2] = True
+    # The root's value is exact even on a cyclic graph: a state on the
+    # stack that reaches the goal passes that on to every frame beneath it.
+    if not reaches[initial]:
+        return frozenset()
+    if back_edges:
+        if not _two_step_derivable(initial, goal, reaches, back_edges):
+            return prove_by_enumeration(initial, goal, background)
+        tailrec.update(sym for sym, nxt in back_edges if reaches[nxt])
+    return frozenset([(Metarule.IDENTITY, sym) for sym in identity]
+                     + [(Metarule.TAILREC, sym) for sym in tailrec])
+
+
+def _two_step_derivable(initial, goal, reaches, back_edges) -> bool:
+    """Whether every reached state unifies with the initial state and the
+    goal, and no atom re-enters the initial state."""
+    return (all(nxt != initial for _, nxt in back_edges)
+            and all(initial.matches(state) and state.matches(goal)
+                    for state in reaches if state is not initial))
+
+
+def prove_by_enumeration(initial, goal, background) -> frozenset:
     """Enumerate all successful simple derivations of the goal and return the
     metasubstitutions (metarule, body symbol) they use.
 
     A derivation never revisits a state it already passed through, so every
     derivation is finite and cyclic state graphs terminate.  Returns the
-    empty set when the goal is unsatisfiable.
-
-    The cost grows with the number of simple paths, exponentially in the
-    map: the generalized example over an open floor takes 0.01 s at 3x3,
-    0.44 s at 4x4 and 43 s at 5x5 (on a 2-CPU host).  That is why the
-    solver is learned on the 2x2 map.
+    empty set when the goal is unsatisfiable.  The cost grows with the
+    number of simple paths, exponentially in the map; ``prove`` runs it
+    only where reachability and simple derivations may differ, and the
+    tests use it as ``prove``'s oracle.
     """
     metasubs: set[tuple[Metarule, object]] = set()
 
@@ -343,8 +443,7 @@ def first_derivation(background, hypothesis: Hypothesis, initial, goal):
     re-entered, so cyclic maps terminate.  Returns the (symbol, next state)
     steps of the first derivation found, chained from ``initial``, or None.
     """
-    identity_syms = set(hypothesis.body_symbols(Metarule.IDENTITY))
-    tailrec_syms = set(hypothesis.body_symbols(Metarule.TAILREC))
+    identity_syms, tailrec_syms = hypothesis.symbol_sets
 
     def expand(state):
         """(completing step or None, Tailrec step list)."""

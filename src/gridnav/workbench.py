@@ -21,7 +21,7 @@ from .executors import (
 from .fsc import CONTROLLER_STATES, FSC
 from .fixtures import fixture_map, lake_fixture_names, zero_map
 from .grid import GridMap, generate_maze, with_endpoints
-from .mil import Hypothesis, TupleBackground, behaviour_goal, hypothesis_to_tuples, learn
+from .mil import Hypothesis, TupleBackground, behaviour_goals, hypothesis_to_tuples, learn
 from .model import ActionBackground, generalized_example, problem_from_map
 # Not called here; perfbench/selftest.py requires the binding (REQUIRED_BINDINGS).
 from .model import instantiate_actions  # noqa: F401
@@ -61,8 +61,7 @@ def controller_examples(behaviours):
     behaviour per incoming controller state."""
     examples = []
     for behaviour in behaviours:
-        for q in CONTROLLER_STATES:
-            examples.append(behaviour_goal(behaviour, initial_q=q))
+        examples.extend(behaviour_goals(behaviour, CONTROLLER_STATES))
     return examples
 
 

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -145,6 +148,73 @@ class TestTupleValidation:
             FSCTuple("q0", "uuuu", "right", "q1")
         with pytest.raises(FSCError):
             FSCTuple("q0", "upuu", "jump", "q1")
+
+
+@dataclasses.dataclass(frozen=True, order=True)
+class ReferenceTuple:
+    """What ``FSCTuple`` was: a frozen ordered dataclass over the fields."""
+
+    q: str
+    o: str
+    a: str
+    q_next: str
+
+
+def as_reference(t: FSCTuple) -> ReferenceTuple:
+    return ReferenceTuple(t.q, t.o, t.a, t.q_next)
+
+
+class TestTupleValueSemantics:
+    """``FSCTuple`` behaves as the frozen ordered dataclass it replaces, over
+    the whole 960-tuple universe."""
+
+    def test_fields_repr_and_hash(self):
+        for t in tuple_universe():
+            ref = as_reference(t)
+            assert (t.q, t.o, t.a, t.q_next) == (ref.q, ref.o, ref.a, ref.q_next)
+            assert repr(t) == repr(ref).replace("ReferenceTuple", "FSCTuple")
+            assert hash(t) == hash(ref)
+            assert t.as_line() == f"{ref.q},{ref.o},{ref.a},{ref.q_next}"
+
+    def test_equality_and_ordering_match_the_dataclass(self):
+        universe = list(tuple_universe())
+        random.Random(3).shuffle(universe)
+        assert [as_reference(t) for t in sorted(universe)] == sorted(map(as_reference, universe))
+        rng = random.Random(4)
+        pairs = [(t, t) for t in universe] + [(t, copy.copy(t)) for t in universe]
+        pairs += [(rng.choice(universe), rng.choice(universe)) for _ in range(5000)]
+        for x, y in pairs:
+            rx, ry = as_reference(x), as_reference(y)
+            assert (x == y, x != y) == (rx == ry, rx != ry)
+            assert (x < y, x <= y, x > y, x >= y) == (rx < ry, rx <= ry, rx > ry, rx >= ry)
+
+    def test_never_equal_to_a_plain_tuple(self):
+        t = FSCTuple("q0", "upuu", "right", "q1")
+        plain = ("q0", "upuu", "right", "q1")
+        assert t != plain and plain != t
+        assert not (t == plain) and not (plain == t)
+        assert len({t, plain}) == 2
+        for compare in (lambda: t < plain, lambda: plain <= t, lambda: t > 0):
+            with pytest.raises(TypeError):
+                compare()
+
+    def test_immutable_and_picklable(self):
+        t = FSCTuple("q0", "upuu", "right", "q1")
+        with pytest.raises(AttributeError):
+            t.q = "q1"
+        assert pickle.loads(pickle.dumps(t)) == t
+        assert type(copy.deepcopy(t)) is FSCTuple
+
+    @pytest.mark.parametrize("fields, message", [
+        (("q9", "upuu", "right", "q1"), "bad controller state in 'q9,upuu,right,q1'"),
+        (("q0", "upuu", "right", "q9"), "bad controller state in 'q0,upuu,right,q9'"),
+        (("q0", "uuuu", "right", "q1"), "bad observation label in 'q0,uuuu,right,q1'"),
+        (("q0", "upuu", "jump", "q1"), "bad action label in 'q0,upuu,jump,q1'"),
+    ])
+    def test_validation_messages(self, fields, message):
+        with pytest.raises(FSCError) as raised:
+            FSCTuple(*fields)
+        assert str(raised.value) == message
 
 
 class TestControllerFiles:

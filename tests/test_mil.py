@@ -224,6 +224,14 @@ class TestHypothesisText:
         assert len(keys) == len(hypothesis)
 
 
+    def test_symbol_sets_are_built_once(self):
+        hypothesis = Hypothesis.from_text(SOLVER_TEXT)
+        identity, tailrec = hypothesis.symbol_sets
+        assert identity == set(hypothesis.body_symbols(Metarule.IDENTITY))
+        assert tailrec == set(hypothesis.body_symbols(Metarule.TAILREC))
+        assert hypothesis.symbol_sets is hypothesis.symbol_sets
+
+
 class TestLabelStreams:
     def test_equal_streams_hash_alike(self):
         one = LabelStreams(("q0", "q1"), ("upuu", "pppp"), ("right", "up"), ("q1", "q0"))

@@ -9,6 +9,9 @@ import pytest
 
 from gridnav import (
     AGENTS,
+    CONTROLLER_STATES,
+    LabelStreams,
+    behaviour_goal,
     ExperimentSpec,
     actions_to_text,
     experiment_instances,
@@ -25,7 +28,7 @@ from gridnav import (
     solve,
     zero_map,
 )
-from gridnav.workbench import REPORT_HEADER
+from gridnav.workbench import REPORT_HEADER, controller_examples
 
 from test_grid import adjacency_edges, connected_component
 
@@ -117,6 +120,25 @@ class TestExperiments:
     def test_fewer_matrices_fewer_tuples(self, solver_hypothesis, learned_controller):
         reduced = learn_controller(solver_hypothesis, observation_matrices()[:-1])
         assert len(reduced.tuples) < len(learned_controller.tuples)
+
+    def test_controller_examples_rebase_each_behaviour(self, solver_hypothesis):
+        # The examples are each behaviour's goal once per incoming controller
+        # state, as a per-state encoding of the whole behaviour gives them.
+        behaviours = generate_behaviours(observation_matrices(), solver_hypothesis)
+        assert len(behaviours) == 32
+        expected = []
+        for behaviour in behaviours:
+            for q in CONTROLLER_STATES:
+                initial = LabelStreams(
+                    (q,) + tuple(t.q for t in behaviour[1:]),
+                    tuple(t.o for t in behaviour),
+                    tuple(t.a for t in behaviour),
+                    tuple(t.q_next for t in behaviour),
+                )
+                expected.append((initial, LabelStreams((), (), (), ())))
+        assert controller_examples(behaviours) == expected
+        assert [behaviour_goal(b, initial_q=q) for b in behaviours
+                for q in CONTROLLER_STATES] == expected
 
 
 def pipeline_lines(solver, controller):
