@@ -4,7 +4,6 @@ benchmark reproduction."""
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -106,7 +105,7 @@ def _cmd_experiment(args) -> int:
     else:
         spec = ExperimentSpec.desk_lake(args.agent, seed=args.seed, full=args.full)
     if args.budget is not None:
-        spec = dataclasses.replace(spec, step_budget=args.budget)
+        spec = spec._replace(step_budget=args.budget)
     report = run_experiment(spec)
     print(REPORT_HEADER)
     print(report.table_row())

@@ -9,10 +9,11 @@ executor never does, and instead physically retraces its steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fsc import FSC, FSCTuple, observe, reverse_pair
 from .grid import DELTA, DIRECTIONS, OPPOSITE, PASSABLE_TILES, Coord, GridMap
+from .record import FrozenRecord, Record
 from .slam import SlamMap, slam_move, slam_permits, slam_update
 
 SOLVED = "solved"
@@ -85,15 +86,16 @@ class BasicEnvironment:
         return tuple(self._trail)
 
 
-@dataclass(frozen=True)
-class ExecutorConfig:
-    kind: str = BACKTRACKING
-    slam: bool = False
-    step_budget: int | None = None
+class ExecutorConfig(FrozenRecord):
+    __slots__ = _fields = ("kind", "slam", "step_budget")
 
-    def __post_init__(self) -> None:
-        if self.step_budget is not None and self.step_budget < 0:
-            raise ExecutorError(f"step_budget must be non-negative, got {self.step_budget}")
+    def __init__(self, kind: str = BACKTRACKING, slam: bool = False,
+                 step_budget: int | None = None) -> None:
+        if step_budget is not None and step_budget < 0:
+            raise ExecutorError(f"step_budget must be non-negative, got {step_budget}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "slam", slam)
+        object.__setattr__(self, "step_budget", step_budget)
 
     def budget_for(self, env) -> int:
         if self.step_budget is not None:
@@ -104,8 +106,7 @@ class ExecutorConfig:
         return 10 * grid.width * grid.height
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     """One executed decision; reversal steps retrace an earlier move and are
     tagged so step accounting can tell them apart."""
 
@@ -123,13 +124,16 @@ class TraceStep:
         return f"{self.q},{self.o},{self.a},{self.q_next}{suffix}"
 
 
-@dataclass
-class ExecutionResult:
-    outcome: str
-    steps: int
-    trace: tuple[TraceStep, ...]
-    path: tuple[Coord, ...] = ()
-    slam_map: SlamMap | None = None
+class ExecutionResult(Record):
+    __slots__ = _fields = ("outcome", "steps", "trace", "path", "slam_map")
+
+    def __init__(self, outcome: str, steps: int, trace: tuple[TraceStep, ...],
+                 path: tuple[Coord, ...] = (), slam_map: SlamMap | None = None) -> None:
+        self.outcome = outcome
+        self.steps = steps
+        self.trace = trace
+        self.path = path
+        self.slam_map = slam_map
 
     def to_text(self) -> str:
         lines = [f"outcome: {self.outcome}", f"steps: {self.steps}"]

@@ -7,13 +7,12 @@ carry no map knowledge: they exchange only labels with whatever runs them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import product
 from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .grid import DIRECTIONS, OPPOSITE, PASSABLE_TILES, Coord, GridMap, MapError
+from .record import FrozenRecord
 
 CONTROLLER_STATES = ("q0", "q1", "q2", "q3")
 ACTION_LABELS = DIRECTIONS
@@ -134,12 +133,16 @@ def tuple_universe() -> frozenset[FSCTuple]:
     )
 
 
-@dataclass(frozen=True)
-class FSC:
+class FSC(FrozenRecord):
     """A set of controller tuples; nondeterministic when some (q, o) pair
     admits more than one (a, q') choice."""
 
-    tuples: frozenset[FSCTuple]
+    __slots__ = ("tuples", "_pairs")
+    _fields = ("tuples",)
+
+    def __init__(self, tuples: frozenset[FSCTuple]) -> None:
+        object.__setattr__(self, "tuples", tuples)
+        object.__setattr__(self, "_pairs", None)
 
     @classmethod
     def of(cls, tuples: Iterable[FSCTuple]) -> "FSC":
@@ -148,20 +151,24 @@ class FSC:
     def lookup(self, q: str, o: str) -> tuple[tuple[str, str], ...]:
         """All (action, next state) pairs for (q, o), in a fixed order:
         actions up/right/down/left first, ties broken by next state."""
-        return self._pairs.get((q, o), ())
+        pairs = self._pairs
+        if pairs is None:
+            pairs = self._index_pairs()
+        return pairs.get((q, o), ())
 
-    @cached_property
-    def _pairs(self) -> dict[tuple[str, str], tuple[tuple[str, str], ...]]:
+    def _index_pairs(self) -> dict[tuple[str, str], tuple[tuple[str, str], ...]]:
         """The sorted lookup pairs of every (q, o) key the tuples name; built
         on the first lookup, so controllers that are only learned or printed
         never pay for it."""
         grouped: dict[tuple[str, str], list[tuple[str, str]]] = {}
         for t in self.tuples:
             grouped.setdefault((t.q, t.o), []).append((t.a, t.q_next))
-        return {
+        pairs = {
             key: tuple(sorted(pairs, key=lambda p: (_A_INDEX[p[0]], _Q_INDEX[p[1]])))
             for key, pairs in grouped.items()
         }
+        object.__setattr__(self, "_pairs", pairs)
+        return pairs
 
     def is_deterministic(self) -> bool:
         seen = set()

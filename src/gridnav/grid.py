@@ -8,8 +8,9 @@ A map is a grid of single-character tiles (floor ``f``, wall ``w``, start
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence
+
+from .record import FrozenRecord
 
 FLOOR = "f"
 WALL = "w"
@@ -45,33 +46,30 @@ class Coord(NamedTuple):
         return f"{self.x}/{self.y}"
 
 
-@dataclass(frozen=True)
-class GridMap:
+class GridMap(FrozenRecord):
     """Immutable tile grid with optional start/end tiles.
 
     ``tiles[y][x]`` is the tile at column ``x``, row ``y`` (row 0 at the
     bottom).  Maps used as navigation instances carry exactly one start and
-    one end tile; bare training grids may carry neither.
+    one end tile; bare training grids may carry neither.  ``start`` and
+    ``end`` are always read off the tiles; the arguments of those names are
+    ignored.
     """
 
-    id: str
-    width: int
-    height: int
-    tiles: tuple[tuple[str, ...], ...]
-    start: Coord | None = field(default=None)
-    end: Coord | None = field(default=None)
+    __slots__ = _fields = ("id", "width", "height", "tiles", "start", "end")
 
-    def __post_init__(self) -> None:
-        if self.width < 1 or self.height < 1:
-            raise MapError(f"map {self.id!r}: dimensions must be positive")
-        if len(self.tiles) != self.height or any(len(r) != self.width for r in self.tiles):
-            raise MapError(f"map {self.id!r}: tile array does not match declared dimensions")
+    def __init__(self, id: str, width: int, height: int, tiles: tuple[tuple[str, ...], ...],
+                 start: Coord | None = None, end: Coord | None = None) -> None:
+        if width < 1 or height < 1:
+            raise MapError(f"map {id!r}: dimensions must be positive")
+        if len(tiles) != height or any(len(r) != width for r in tiles):
+            raise MapError(f"map {id!r}: tile array does not match declared dimensions")
         starts: list[Coord] = []
         ends: list[Coord] = []
-        for y, row in enumerate(self.tiles):
+        for y, row in enumerate(tiles):
             if not TILE_KINDS.issuperset(row):
                 bad = next(t for t in row if t not in TILE_KINDS)
-                raise MapError(f"map {self.id!r}: unknown tile kind {bad!r}")
+                raise MapError(f"map {id!r}: unknown tile kind {bad!r}")
             if START in row or END in row:
                 for x, t in enumerate(row):
                     if t == START:
@@ -79,9 +77,14 @@ class GridMap:
                     elif t == END:
                         ends.append(Coord(x, y))
         if len(starts) > 1 or len(ends) > 1:
-            raise MapError(f"map {self.id!r}: multiple start or end tiles")
-        object.__setattr__(self, "start", starts[0] if starts else None)
-        object.__setattr__(self, "end", ends[0] if ends else None)
+            raise MapError(f"map {id!r}: multiple start or end tiles")
+        set_field = object.__setattr__
+        set_field(self, "id", id)
+        set_field(self, "width", width)
+        set_field(self, "height", height)
+        set_field(self, "tiles", tiles)
+        set_field(self, "start", starts[0] if starts else None)
+        set_field(self, "end", ends[0] if ends else None)
 
     @classmethod
     def from_rows(cls, map_id: str, rows_top_first: Sequence[str]) -> "GridMap":

@@ -33,14 +33,13 @@ re-enters a state on one derivation, so all halt without a depth budget.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .fsc import ACTION_LABELS, CONTROLLER_STATES, FSC, OBSERVATION_LABELS, FSCError, FSCTuple
 from .model import UNKNOWN, PlanningProblem, unifies
+from .record import FrozenRecord
 
 
 class Metarule(Enum):
@@ -69,8 +68,7 @@ def _symbol_text(symbol, args: str) -> str:
     return f"{symbol}({args})"
 
 
-@dataclass(frozen=True)
-class DefiniteClause:
+class DefiniteClause(NamedTuple):
     """A first-order clause: one metarule instantiated with the target
     predicate in the head and a background symbol in the body."""
 
@@ -85,12 +83,21 @@ class DefiniteClause:
         return f"{self.target}(A,B) :- {body}, {self.target}(C,B)."
 
 
-@dataclass(frozen=True)
-class Hypothesis:
-    """A duplicate-free set of learned clauses for one target predicate."""
+class Hypothesis(FrozenRecord):
+    """A duplicate-free set of learned clauses for one target predicate.
 
-    clauses: frozenset[DefiniteClause]
-    target: str
+    The canonical clause order and the body-symbol sets are built on first
+    use and kept, once per hypothesis."""
+
+    __slots__ = ("clauses", "target", "_ordered", "_symbol_sets")
+    _fields = ("clauses", "target")
+
+    def __init__(self, clauses: frozenset[DefiniteClause], target: str) -> None:
+        set_field = object.__setattr__
+        set_field(self, "clauses", clauses)
+        set_field(self, "target", target)
+        set_field(self, "_ordered", None)
+        set_field(self, "_symbol_sets", None)
 
     @classmethod
     def of(cls, clauses: Iterable[DefiniteClause], target: str) -> "Hypothesis":
@@ -100,35 +107,37 @@ class Hypothesis:
         return len(self.clauses)
 
     def __iter__(self):
-        return iter(self._ordered)
-
-    @cached_property
-    def _ordered(self) -> tuple[DefiniteClause, ...]:
-        """The canonical clause order, sorted once per hypothesis."""
-        return tuple(
-            sorted(
-                self.clauses,
-                key=lambda c: (METARULES.index(c.metarule), _symbol_key(c.body_symbol)),
-            )
-        )
+        return iter(self.ordered())
 
     def ordered(self) -> tuple[DefiniteClause, ...]:
         """Canonical clause order: Identity instances before Tailrec ones,
         each group sorted by body symbol."""
-        return self._ordered
+        ordered = self._ordered
+        if ordered is None:
+            ordered = tuple(
+                sorted(
+                    self.clauses,
+                    key=lambda c: (METARULES.index(c.metarule), _symbol_key(c.body_symbol)),
+                )
+            )
+            object.__setattr__(self, "_ordered", ordered)
+        return ordered
 
     def body_symbols(self, metarule: Metarule) -> tuple:
-        return tuple(c.body_symbol for c in self._ordered if c.metarule is metarule)
+        return tuple(c.body_symbol for c in self.ordered() if c.metarule is metarule)
 
-    @cached_property
+    @property
     def symbol_sets(self) -> tuple[frozenset, frozenset]:
-        """The Identity and the Tailrec body symbols, as sets built once
-        per hypothesis."""
-        return (frozenset(c.body_symbol for c in self.clauses if c.metarule is Metarule.IDENTITY),
-                frozenset(c.body_symbol for c in self.clauses if c.metarule is Metarule.TAILREC))
+        """The Identity and the Tailrec body symbols, as sets."""
+        sets = self._symbol_sets
+        if sets is None:
+            sets = (frozenset(c.body_symbol for c in self.clauses if c.metarule is Metarule.IDENTITY),
+                    frozenset(c.body_symbol for c in self.clauses if c.metarule is Metarule.TAILREC))
+            object.__setattr__(self, "_symbol_sets", sets)
+        return sets
 
     def to_text(self) -> str:
-        return "\n".join(c.to_text() for c in self._ordered) + "\n"
+        return "\n".join(c.to_text() for c in self.ordered()) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "Hypothesis":

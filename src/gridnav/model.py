@@ -11,8 +11,7 @@ planning asks it at bound positions, learning at an unbound one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .grid import DELTA, DIRECTIONS, PASSABLE_TILES, Coord, GridMap
 
@@ -54,8 +53,7 @@ def _term(value) -> str:
     return repr(value) if not isinstance(value, str) else value
 
 
-@dataclass(frozen=True)
-class StateTerm:
+class StateTerm(NamedTuple):
     """Fluents of one environment state: map id, position, tile kind.
 
     ``pos`` and ``tile`` may be UNKNOWN in problem statements; the map id is
@@ -79,8 +77,7 @@ class StateTerm:
         return f"[{self.map_id},{_term(self.pos)},{_term(self.tile)}]"
 
 
-@dataclass(frozen=True)
-class GroundAction:
+class GroundAction(NamedTuple):
     """One instantiated step: moves the agent between two adjacent passable
     cells of a specific map, reading tile kinds from the map."""
 
@@ -92,8 +89,7 @@ class GroundAction:
         return f"{self.name}({self.input!r},{self.output!r})."
 
 
-@dataclass(frozen=True)
-class PlanningProblem:
+class PlanningProblem(NamedTuple):
     """Initial and goal state terms over one map; either side may leave
     position and tile unbound."""
 

@@ -11,10 +11,10 @@ evidence from a table of the 16 p/u labels, built once at import.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
 
 from .grid import DELTA, DIRECTIONS, UNKNOWN_GLYPH
+from .record import Record
 
 UNOBSERVED = "unknown"
 PASSABLE = "passable"
@@ -39,16 +39,19 @@ class SlamFault(RuntimeError):
     drifted."""
 
 
-@dataclass
-class SlamMap:
+class SlamMap(Record):
     """Expanding map of cell evidence, owned by a single executor run.
 
     Cells are keyed by (dx, dy) offsets from the start cell; absent keys are
     unobserved.  A visited mark never downgrades.
     """
 
-    cells: dict[tuple[int, int], str] = field(default_factory=dict)
-    pose: tuple[int, int] = (0, 0)
+    __slots__ = _fields = ("cells", "pose")
+
+    def __init__(self, cells: dict[tuple[int, int], str] | None = None,
+                 pose: tuple[int, int] = (0, 0)) -> None:
+        self.cells = {} if cells is None else cells
+        self.pose = pose
 
     def cell(self, offset: tuple[int, int]) -> str:
         return self.cells.get(offset, UNOBSERVED)

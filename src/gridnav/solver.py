@@ -3,8 +3,6 @@ observation-matrix pipeline that produces controller training behaviours."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .fsc import FSCTuple, OBSERVATION_LABELS, STATE_FOR_ACTION, observe
 from .grid import DIRECTIONS, FLOOR, WALL, Coord, GridMap
 from .mil import Hypothesis, first_derivation
@@ -17,6 +15,7 @@ from .model import (
     direction_of,
     problem_from_map,
 )
+from .record import FrozenRecord
 # Not called here; perfbench/selftest.py requires the binding (REQUIRED_BINDINGS).
 from .model import instantiate_actions  # noqa: F401
 
@@ -29,14 +28,17 @@ class UnsolvableError(PlanningError):
     """The search exhausted every derivation without reaching the goal."""
 
 
-@dataclass(frozen=True)
-class Plan:
+class Plan(FrozenRecord):
     """A chained action sequence from a start state to a goal state."""
 
-    actions: tuple
-    labels: tuple[str, ...]
-    start: StateTerm
-    goal: StateTerm
+    __slots__ = _fields = ("actions", "labels", "start", "goal")
+
+    def __init__(self, actions: tuple, labels: tuple[str, ...], start: StateTerm,
+                 goal: StateTerm) -> None:
+        object.__setattr__(self, "actions", actions)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "goal", goal)
 
     def __len__(self) -> int:
         return len(self.actions)

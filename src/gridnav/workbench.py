@@ -6,7 +6,7 @@ from __future__ import annotations
 import csv
 import io
 import random
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .executors import (
     BACKTRACKING,
@@ -23,6 +23,7 @@ from .fixtures import fixture_map, lake_fixture_names, zero_map
 from .grid import GridMap, generate_maze, with_endpoints
 from .mil import Hypothesis, TupleBackground, behaviour_goals, hypothesis_to_tuples, learn
 from .model import ActionBackground, generalized_example, problem_from_map
+from .record import Record
 # Not called here; perfbench/selftest.py requires the binding (REQUIRED_BINDINGS).
 from .model import instantiate_actions  # noqa: F401
 from .solver import (
@@ -81,17 +82,21 @@ def learn_controller(solver: Hypothesis, matrices=None) -> FSC:
     return hypothesis_to_tuples(program)
 
 
-@dataclass
-class RunOutcome:
+class RunOutcome(Record):
     """Uniform single-instance outcome across agents."""
 
-    agent: str
-    grid: GridMap
-    outcome: str
-    steps: int
-    labels: tuple[str, ...]
-    plan: Plan | None = None
-    result: ExecutionResult | None = None
+    __slots__ = _fields = ("agent", "grid", "outcome", "steps", "labels", "plan", "result")
+
+    def __init__(self, agent: str, grid: GridMap, outcome: str, steps: int,
+                 labels: tuple[str, ...], plan: Plan | None = None,
+                 result: ExecutionResult | None = None) -> None:
+        self.agent = agent
+        self.grid = grid
+        self.outcome = outcome
+        self.steps = steps
+        self.labels = labels
+        self.plan = plan
+        self.result = result
 
     @property
     def solved(self) -> bool:
@@ -123,8 +128,7 @@ def run_single(agent: str, grid: GridMap, *, solver: Hypothesis | None = None,
     return RunOutcome(agent, grid, result.outcome, result.steps, labels, result=result)
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
+class ExperimentSpec(NamedTuple):
     """One benchmark row: an agent on a seeded set of environment instances.
 
     The seed fully determines the instance set, so runs of different agents
@@ -153,19 +157,25 @@ class ExperimentSpec:
         return cls(agent, "lake", 20, 20, fixtures * rolls, seed)
 
 
-@dataclass(frozen=True)
-class InstanceRecord:
+class InstanceRecord(NamedTuple):
     instance: str
     agent: str
     outcome: str
     steps: int
 
 
-@dataclass
-class ExperimentReport:
-    spec: ExperimentSpec
-    records: tuple[InstanceRecord, ...]
-    outcomes: dict[str, RunOutcome] = field(default_factory=dict, repr=False)
+class ExperimentReport(Record):
+    __slots__ = _fields = ("spec", "records", "outcomes")
+
+    def __init__(self, spec: ExperimentSpec, records: tuple[InstanceRecord, ...],
+                 outcomes: dict[str, RunOutcome] | None = None) -> None:
+        self.spec = spec
+        self.records = records
+        self.outcomes = {} if outcomes is None else outcomes
+
+    def __repr__(self) -> str:
+        # The per-instance outcomes are left out: they hold every map and run.
+        return f"ExperimentReport(spec={self.spec!r}, records={self.records!r})"
 
     @property
     def solved_fraction(self) -> float:
@@ -227,14 +237,21 @@ def experiment_instances(spec: ExperimentSpec) -> list[tuple[str, GridMap]]:
 def run_experiment(spec: ExperimentSpec, *, solver: Hypothesis | None = None,
                    controller: FSC | None = None) -> ExperimentReport:
     """Run the agent over the spec's instance set and aggregate a report row
-    plus per-instance records."""
+    plus per-instance records.  A spec naming an unknown agent or
+    environment, or fewer than one instance, raises ValueError before
+    anything is learned."""
+    if spec.agent not in AGENTS:
+        raise ValueError(f"unknown agent {spec.agent!r}")
+    if spec.instances < 1:
+        raise ValueError(f"an experiment needs at least one instance, got {spec.instances}")
+    instances = experiment_instances(spec)
     if spec.agent == SOLVER:
         solver = solver if solver is not None else learn_solver()
     elif controller is None:
         controller = learn_controller(solver if solver is not None else learn_solver())
     records = []
     outcomes = {}
-    for name, grid in experiment_instances(spec):
+    for name, grid in instances:
         run = run_single(
             spec.agent, grid, solver=solver, controller=controller,
             step_budget=spec.step_budget,

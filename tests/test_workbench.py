@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import hashlib
 import subprocess
 import sys
@@ -28,6 +29,7 @@ from gridnav import (
     solve,
     zero_map,
 )
+from gridnav import workbench
 from gridnav.workbench import REPORT_HEADER, controller_examples
 
 from test_grid import adjacency_edges, connected_component
@@ -75,6 +77,21 @@ class TestExperiments:
         for name, grid in experiment_instances(spec):
             h.update(f"{name}\n{serialize_map(grid)}".encode())
         assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("spec, message", [
+        (ExperimentSpec("nobody", "maze", 11, 11, 2), "unknown agent 'nobody'"),
+        (ExperimentSpec("fsc-bt", "swamp", 11, 11, 2), "unknown environment 'swamp'"),
+        (ExperimentSpec("solver", "maze", 11, 11, 0), "at least one instance, got 0"),
+        (ExperimentSpec("fsc-re", "lake", 20, 20, -1), "at least one instance, got -1"),
+    ], ids=["agent", "environment", "no-instances", "negative-instances"])
+    def test_bad_spec_is_rejected_before_learning(self, monkeypatch, spec, message):
+        def learning(*args, **kwargs):
+            raise AssertionError("learned before the spec was checked")
+
+        monkeypatch.setattr(workbench, "learn_solver", learning)
+        monkeypatch.setattr(workbench, "learn_controller", learning)
+        with pytest.raises(ValueError, match=message):
+            run_experiment(spec)
 
     def test_report_determinism(self, solver_hypothesis):
         spec = ExperimentSpec("solver", "maze", 9, 9, 4, seed=2)
@@ -262,6 +279,18 @@ class TestCli:
         assert result.returncode == 0
         assert "solver" in result.stdout
         assert csv_path.read_text().startswith("instance,agent,outcome,steps")
+
+    def test_experiment_applies_the_budget(self, tmp_path):
+        csv_path = tmp_path / "rows.csv"
+        result = run_cli("experiment", "--agent", "fsc-bt", "--env", "lake",
+                         "--budget", "3", "--csv", str(csv_path))
+        assert result.returncode == 0, result.stderr
+        rows = list(csv.DictReader(csv_path.read_text().splitlines()))
+        assert len(rows) == 50
+        outcomes = [row["outcome"] for row in rows]
+        assert set(outcomes) <= {"solved", "budget_exceeded"}
+        assert outcomes.count("budget_exceeded") > 40
+        assert all(int(row["steps"]) <= 3 for row in rows)
 
     def test_learn_fsc_incomplete_solver_is_an_error(self, tmp_path):
         solver = tmp_path / "solver.pl"
