@@ -42,7 +42,7 @@ for behaviour in behaviours[:4]:
     print("  " + ", ".join(t.as_line() for t in behaviour))
 print()
 
-# Learning over the 960-tuple universe, with each behaviour replayed from
+# Learning over the controller tuples, with each behaviour replayed from
 # all four incoming states, gives a 128-tuple nondeterministic controller.
 controller = learn_controller(solver)
 print(f"learned controller: {len(controller.tuples)} tuples")

@@ -36,10 +36,8 @@ from .fsc import (
     FSCTuple,
     OBSERVATION_LABELS,
     STATE_FOR_ACTION,
-    is_chained,
     observe,
     reverse_pair,
-    tuple_universe,
 )
 from .grid import (
     Coord,
@@ -61,7 +59,6 @@ from .mil import (
     Metarule,
     TupleBackground,
     UnlearnableError,
-    behaviour_goal,
     hypothesis_to_tuples,
     learn,
     prove,

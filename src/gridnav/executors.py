@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .fsc import FSC, FSCTuple, observe, reverse_pair
+from .fsc import FSC, observe, reverse_pair
 from .grid import DELTA, DIRECTIONS, OPPOSITE, PASSABLE_TILES, Coord, GridMap
 from .record import FrozenRecord, Record
 from .slam import SlamMap, slam_move, slam_permits, slam_update
@@ -115,9 +115,6 @@ class TraceStep(NamedTuple):
     a: str
     q_next: str
     reversal: bool = False
-
-    def as_tuple(self) -> FSCTuple:
-        return FSCTuple(self.q, self.o, self.a, self.q_next)
 
     def as_line(self) -> str:
         suffix = " (reversal)" if self.reversal else ""

@@ -3,13 +3,14 @@
 A controller is a set of 4-tuples (q, o, a, q') mapping a controller state
 and an observation to an action and a next controller state.  Controllers
 carry no map knowledge: they exchange only labels with whatever runs them.
+An ``FSCTuple`` equals the plain tuple of its labels, which is safe because
+no container in the package mixes the two.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple
 
 from .grid import DIRECTIONS, OPPOSITE, PASSABLE_TILES, Coord, GridMap, MapError
 from .record import FrozenRecord
@@ -52,85 +53,37 @@ def observe(grid: GridMap, pos: Coord) -> str:
     )
 
 
-class FSCTuple(tuple):
+_Labels = NamedTuple("_Labels", [("q", str), ("o", str), ("a", str), ("q_next", str)])
+
+
+class FSCTuple(_Labels):
     """One controller tuple (q, o, a, q'), validated on construction.
 
-    A tuple subclass: building one costs a ``tuple.__new__`` and the label
-    checks, about half of what a frozen dataclass's ``__init__`` costs, and
-    it is immutable for free.  Equality, ordering, hash and repr are those
-    of a frozen ordered dataclass over the four fields: an ``FSCTuple``
-    never equals a plain tuple, and ordering against one raises TypeError.
+    Repr, hash, field order and ordering are those of the frozen ordered
+    dataclass it replaces; pickling, copying and ``_replace`` validate too.
+    It also equals the plain tuple of its labels.  That is safe: equal
+    values hash alike, and controllers and clause bodies hold only
+    ``FSCTuple``s, so no set or dict mixes the two kinds.
     """
 
     __slots__ = ()
 
     def __new__(cls, q: str, o: str, a: str, q_next: str) -> "FSCTuple":
         self = tuple.__new__(cls, (q, o, a, q_next))
-        self.__post_init__()
+        if q not in _Q_INDEX or q_next not in _Q_INDEX:
+            raise FSCError(f"bad controller state in {self.as_line()!r}")
+        if o not in _O_SET:
+            raise FSCError(f"bad observation label in {self.as_line()!r}")
+        if a not in _A_INDEX:
+            raise FSCError(f"bad action label in {self.as_line()!r}")
         return self
 
-    def __post_init__(self) -> None:
-        if self[0] not in _Q_INDEX or self[3] not in _Q_INDEX:
-            raise FSCError(f"bad controller state in {self.as_line()!r}")
-        if self[1] not in _O_SET:
-            raise FSCError(f"bad observation label in {self.as_line()!r}")
-        if self[2] not in _A_INDEX:
-            raise FSCError(f"bad action label in {self.as_line()!r}")
-
-    q = property(itemgetter(0))
-    o = property(itemgetter(1))
-    a = property(itemgetter(2))
-    q_next = property(itemgetter(3))
-
-    def __getnewargs__(self) -> tuple:
-        return tuple(self)
-
-    def __repr__(self) -> str:
-        return "FSCTuple(q=%r, o=%r, a=%r, q_next=%r)" % self
+    @classmethod
+    def _make(cls, iterable) -> "FSCTuple":
+        return cls(*iterable)
 
     def as_line(self) -> str:
         return "%s,%s,%s,%s" % self
-
-    __hash__ = tuple.__hash__
-
-    def __eq__(self, other):
-        if other.__class__ is FSCTuple:
-            return tuple.__eq__(self, other)
-        return False if isinstance(other, tuple) else NotImplemented
-
-    def __ne__(self, other):
-        equal = self.__eq__(other)
-        return equal if equal is NotImplemented else not equal
-
-    def __lt__(self, other):
-        return tuple.__lt__(self, _comparable(other, "<"))
-
-    def __le__(self, other):
-        return tuple.__le__(self, _comparable(other, "<="))
-
-    def __gt__(self, other):
-        return tuple.__gt__(self, _comparable(other, ">"))
-
-    def __ge__(self, other):
-        return tuple.__ge__(self, _comparable(other, ">="))
-
-
-def _comparable(other, op: str) -> FSCTuple:
-    if other.__class__ is not FSCTuple:
-        raise TypeError(f"'{op}' not supported between instances of 'FSCTuple' "
-                        f"and {type(other).__name__!r}")
-    return other
-
-
-def tuple_universe() -> frozenset[FSCTuple]:
-    """All 960 well-formed controller tuples."""
-    return frozenset(
-        FSCTuple(q, o, a, q2)
-        for q in CONTROLLER_STATES
-        for o in OBSERVATION_LABELS
-        for a in ACTION_LABELS
-        for q2 in CONTROLLER_STATES
-    )
 
 
 class FSC(FrozenRecord):
@@ -209,7 +162,3 @@ def reverse_pair(a: str, q_next: str) -> tuple[str, str]:
     rev = OPPOSITE[a]
     return rev, STATE_FOR_ACTION[rev]
 
-
-def is_chained(steps: Sequence[FSCTuple]) -> bool:
-    """True when each tuple's next state equals its successor's state."""
-    return all(a.q_next == b.q for a, b in zip(steps, steps[1:]))

@@ -111,15 +111,6 @@ class GridMap(FrozenRecord):
     def passable_cells(self) -> list[Coord]:
         return [c for c in self.cells() if self.passable(c)]
 
-    def neighbors(self, c: Coord) -> list[tuple[str, Coord]]:
-        """Passable von Neumann neighbors as (direction, coordinate) pairs."""
-        out = []
-        for d in DIRECTIONS:
-            n = c.shifted(d)
-            if self.passable(n):
-                out.append((d, n))
-        return out
-
     def require_endpoints(self) -> tuple[Coord, Coord]:
         if self.start is None or self.end is None:
             raise MapError(f"map {self.id!r}: needs both a start and an end tile")

@@ -123,9 +123,6 @@ class Hypothesis(FrozenRecord):
             object.__setattr__(self, "_ordered", ordered)
         return ordered
 
-    def body_symbols(self, metarule: Metarule) -> tuple:
-        return tuple(c.body_symbol for c in self.ordered() if c.metarule is metarule)
-
     @property
     def symbol_sets(self) -> tuple[frozenset, frozenset]:
         """The Identity and the Tailrec body symbols, as sets."""
@@ -221,18 +218,11 @@ class LabelStreams:
 EMPTY_STREAMS = LabelStreams((), (), (), ())
 
 
-def behaviour_goal(behaviour: Sequence[FSCTuple], initial_q: str | None = None):
-    """Encode a behaviour as a resolution goal: initial streams threading its
-    labels (optionally rebasing the first controller state), empty goal."""
-    if initial_q is None and behaviour:
-        initial_q = behaviour[0].q
-    return behaviour_goals(behaviour, (initial_q,))[0]
-
-
 def behaviour_goals(behaviour: Sequence[FSCTuple], initial_qs: Iterable[str]) -> list:
-    """``behaviour_goal`` once per initial controller state.  The
-    behaviour's streams are read once; the goals differ only in the first
-    controller state."""
+    """Encode a behaviour as resolution goals, one per initial controller
+    state: initial streams threading its labels, with the first controller
+    state replaced, and the empty goal.  The behaviour's streams are read
+    once; the goals differ only in the first controller state."""
     if not behaviour:
         raise ValueError("behaviour must contain at least one tuple")
     q_seq, o_seq, a_seq, q_next_seq = zip(*behaviour)

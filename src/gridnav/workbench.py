@@ -41,6 +41,8 @@ FSC_BT_SLAM = "fsc-bt-slam"
 FSC_RE_SLAM = "fsc-re-slam"
 AGENTS = (SOLVER, FSC_BT, FSC_RE, FSC_BT_SLAM, FSC_RE_SLAM)
 
+_SOLVER_BUDGET_ERROR = "step_budget applies to controller agents only"
+
 _EXECUTOR_FOR_AGENT = {
     FSC_BT: (BACKTRACKING, False),
     FSC_RE: (REVERSING, False),
@@ -71,7 +73,8 @@ def learn_controller(solver: Hypothesis, matrices=None) -> FSC:
 
     Generates the observation matrices, solves each on its plain action
     model and reads behaviours off the plans, learns a clause set over the
-    tuple universe, and projects it onto its ground 4-tuples.
+    controller tuples those behaviours consume, and projects it onto its
+    ground 4-tuples.
     """
     if matrices is None:
         matrices = observation_matrices()
@@ -110,7 +113,7 @@ def run_single(agent: str, grid: GridMap, *, solver: Hypothesis | None = None,
         if solver is None:
             raise ValueError("solver agent needs a hypothesis")
         if step_budget is not None:
-            raise ValueError("step_budget applies to controller agents only")
+            raise ValueError(_SOLVER_BUDGET_ERROR)
         try:
             plan = solve(grid, solver, problem_from_map(grid))
         except UnsolvableError:
@@ -238,12 +241,15 @@ def run_experiment(spec: ExperimentSpec, *, solver: Hypothesis | None = None,
                    controller: FSC | None = None) -> ExperimentReport:
     """Run the agent over the spec's instance set and aggregate a report row
     plus per-instance records.  A spec naming an unknown agent or
-    environment, or fewer than one instance, raises ValueError before
-    anything is learned."""
+    environment, fewer than one instance, or a step budget its agent
+    rejects raises before anything is learned."""
     if spec.agent not in AGENTS:
         raise ValueError(f"unknown agent {spec.agent!r}")
     if spec.instances < 1:
         raise ValueError(f"an experiment needs at least one instance, got {spec.instances}")
+    if spec.agent == SOLVER and spec.step_budget is not None:
+        raise ValueError(_SOLVER_BUDGET_ERROR)
+    ExecutorConfig(step_budget=spec.step_budget)  # raises ExecutorError on a negative budget
     instances = experiment_instances(spec)
     if spec.agent == SOLVER:
         solver = solver if solver is not None else learn_solver()

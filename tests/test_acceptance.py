@@ -26,18 +26,17 @@ from gridnav import (
     generate_behaviours,
     generate_maze,
     instantiate_actions,
-    is_chained,
     lake_fixture_names,
     observation_matrices,
     parse_map,
     playback,
     run_experiment,
     serialize_map,
-    tuple_universe,
     zero_map,
 )
 from gridnav.cli import main as cli_main
 
+from test_fsc import is_chained, tuple_universe
 from test_grid import adjacency_edges, connected_component
 from test_mil import SOLVER_TEXT
 from test_model import ZERO_ACTIONS
@@ -195,7 +194,7 @@ def test_criterion_8_behaviour_and_trace_chaining(solver, controller):
         grid = fixture_map(grid_name)
         for cfg in (ExecutorConfig(BACKTRACKING), ExecutorConfig(REVERSING, slam=True)):
             result = execute(fsc, BasicEnvironment(grid), cfg)
-            assert is_chained([t.as_tuple() for t in result.trace])
+            assert is_chained(result.trace)
 
 
 def test_criterion_8_reverse_pair_involution():

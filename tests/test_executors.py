@@ -19,12 +19,13 @@ from gridnav import (
     TraceStep,
     execute,
     generate_maze,
-    is_chained,
     parse_map,
     playback,
     run_backtracking,
     run_reversing,
 )
+
+from test_fsc import is_chained
 
 
 class SpyEnvironment:
@@ -137,7 +138,7 @@ class TestBacktracking:
 
     def test_trace_is_chained_and_replays(self, learned_controller, maze_b):
         result = run_backtracking(learned_controller, BasicEnvironment(maze_b), ExecutorConfig())
-        assert is_chained([t.as_tuple() for t in result.trace])
+        assert is_chained(result.trace)
         assert playback(maze_b, [t.a for t in result.trace])[0]
 
     def test_needs_checkpoint_support(self, learned_controller, maze_a):
@@ -212,7 +213,7 @@ class TestReversing:
     def test_trace_chained_including_reversals(self, learned_controller, maze_a):
         result = run_reversing(learned_controller, BasicEnvironment(maze_a), ExecutorConfig(REVERSING))
         assert any(t.reversal for t in result.trace)
-        assert is_chained([t.as_tuple() for t in result.trace])
+        assert is_chained(result.trace)
 
     def test_solved_trace_replays(self, learned_controller, maze_b):
         result = run_reversing(learned_controller, BasicEnvironment(maze_b), ExecutorConfig(REVERSING))
@@ -259,7 +260,7 @@ class TestSlamVariants:
         slammed = run_reversing(
             learned_controller, BasicEnvironment(corridor), ExecutorConfig(REVERSING, slam=True)
         )
-        assert [t.as_tuple() for t in plain.trace] == [t.as_tuple() for t in slammed.trace]
+        assert [t[:4] for t in plain.trace] == [t[:4] for t in slammed.trace]
 
     def test_slam_matches_plain_on_loop_free_maps(self, learned_controller):
         maze = generate_maze(9, 9, seed=11)
@@ -271,7 +272,7 @@ class TestSlamVariants:
             assert plain.outcome == slammed.outcome == SOLVED
             assert plain.slam_map is None
             assert slammed.slam_map is not None
-            assert [t.as_tuple() for t in plain.trace] == [t.as_tuple() for t in slammed.trace]
+            assert [t[:4] for t in plain.trace] == [t[:4] for t in slammed.trace]
 
 
 class TestModelFreedom:
@@ -318,8 +319,8 @@ class TestExecutionResult:
 
 
 def count_calls(monkeypatch, module, name):
-    """Replace ``module.name`` with a wrapper that counts its calls and
-    still returns what the original returns."""
+    """Replace ``module.name`` (or a class's ``__new__``) with a wrapper that
+    counts its calls and still returns what the original returns."""
     original = getattr(module, name)
     calls = []
 
@@ -349,7 +350,7 @@ class TestValueObjectChurn:
     @pytest.mark.parametrize("slam", [False, True])
     def test_reversing_builds_no_controller_tuples(
             self, monkeypatch, learned_controller, maze_a, slam):
-        built = count_calls(monkeypatch, executors, "FSCTuple")
+        built = count_calls(monkeypatch, FSCTuple, "__new__")
         result = run_reversing(learned_controller, BasicEnvironment(maze_a),
                                ExecutorConfig(REVERSING, slam=slam))
         assert result.outcome == SOLVED

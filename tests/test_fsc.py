@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import pickle
 import random
+from itertools import product
 
 import pytest
 
@@ -20,15 +21,24 @@ from gridnav import (
     STATE_FOR_ACTION,
     fixture_map,
     generate_lake,
-    is_chained,
     map_fixture_names,
     observe,
     observation_matrices,
     parse_map,
     reverse_pair,
-    tuple_universe,
     zero_map,
 )
+
+
+def tuple_universe() -> frozenset[FSCTuple]:
+    """All 960 well-formed controller tuples."""
+    alphabets = (CONTROLLER_STATES, OBSERVATION_LABELS, ACTION_LABELS, CONTROLLER_STATES)
+    return frozenset(FSCTuple(*fields) for fields in product(*alphabets))
+
+
+def is_chained(steps) -> bool:
+    """True when each (q, o, a, q') step's next state is its successor's state."""
+    return all(a[3] == b[0] for a, b in zip(steps, steps[1:]))
 
 
 class TestAlphabets:
@@ -36,7 +46,6 @@ class TestAlphabets:
         assert len(CONTROLLER_STATES) == 4
         assert len(ACTION_LABELS) == 4
         assert len(OBSERVATION_LABELS) == 15
-        assert len(tuple_universe()) == 960
 
     def test_all_unpassable_label_excluded(self):
         assert "uuuu" not in OBSERVATION_LABELS
@@ -188,15 +197,27 @@ class TestTupleValueSemantics:
             assert (x == y, x != y) == (rx == ry, rx != ry)
             assert (x < y, x <= y, x > y, x >= y) == (rx < ry, rx <= ry, rx > ry, rx >= ry)
 
-    def test_never_equal_to_a_plain_tuple(self):
+    def test_equals_its_plain_tuple(self):
+        # The one difference from the dataclass: a NamedTuple equals, hashes
+        # and orders as the plain tuple of its fields.
         t = FSCTuple("q0", "upuu", "right", "q1")
         plain = ("q0", "upuu", "right", "q1")
-        assert t != plain and plain != t
-        assert not (t == plain) and not (plain == t)
-        assert len({t, plain}) == 2
-        for compare in (lambda: t < plain, lambda: plain <= t, lambda: t > 0):
-            with pytest.raises(TypeError):
-                compare()
+        assert t == plain and plain == t
+        assert not (t != plain) and not (plain != t)
+        assert len({t, plain}) == 1
+        assert t <= plain and plain >= t and not t < plain
+        assert t < ("q0", "upuu", "right", "q2")
+        with pytest.raises(TypeError):
+            t > 0
+
+    def test_constructors_validate(self):
+        t = FSCTuple("q0", "upuu", "right", "q1")
+        assert t._replace(a="up") == FSCTuple("q0", "upuu", "up", "q1")
+        assert type(FSCTuple._make(t)) is FSCTuple
+        with pytest.raises(FSCError, match="bad action label in 'q0,upuu,jump,q1'"):
+            t._replace(a="jump")
+        with pytest.raises(FSCError, match="bad controller state"):
+            FSCTuple._make(("q9", "upuu", "right", "q1"))
 
     def test_immutable_and_picklable(self):
         t = FSCTuple("q0", "upuu", "right", "q1")
@@ -246,19 +267,3 @@ class TestControllerFiles:
         fsc = FSC.from_text("# header\n\nq0,upuu,right,q1\n")
         assert len(fsc.tuples) == 1
 
-
-class TestChaining:
-    def test_chained_sequence(self):
-        steps = [
-            FSCTuple("q0", "upuu", "right", "q1"),
-            FSCTuple("q1", "upup", "right", "q1"),
-            FSCTuple("q1", "uupp", "down", "q2"),
-        ]
-        assert is_chained(steps)
-
-    def test_broken_chain(self):
-        steps = [
-            FSCTuple("q0", "upuu", "right", "q1"),
-            FSCTuple("q3", "upup", "left", "q3"),
-        ]
-        assert not is_chained(steps)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from gridnav import (
+    DIRECTIONS,
     Coord,
     GridMap,
     MapError,
@@ -19,11 +20,16 @@ from gridnav import (
 from gridnav.fixtures import _read
 
 
+def neighbors(grid: GridMap, c: Coord) -> list[tuple[str, Coord]]:
+    """Passable von Neumann neighbors as (direction, coordinate) pairs."""
+    return [(d, c.shifted(d)) for d in DIRECTIONS if grid.passable(c.shifted(d))]
+
+
 def adjacency_edges(grid: GridMap) -> set[frozenset[Coord]]:
     """Independent oracle: undirected adjacent passable pairs by brute force."""
     edges = set()
     for c in grid.passable_cells():
-        for _, n in grid.neighbors(c):
+        for _, n in neighbors(grid, c):
             edges.add(frozenset((c, n)))
     return edges
 
@@ -34,7 +40,7 @@ def connected_component(grid: GridMap, root: Coord) -> set[Coord]:
     frontier = [root]
     while frontier:
         cur = frontier.pop()
-        for _, n in grid.neighbors(cur):
+        for _, n in neighbors(grid, cur):
             if n not in seen:
                 seen.add(n)
                 frontier.append(n)

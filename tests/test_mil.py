@@ -19,7 +19,6 @@ from gridnav import (
     TupleBackground,
     UNKNOWN,
     UnlearnableError,
-    behaviour_goal,
     generalized_example,
     hypothesis_to_tuples,
     learn,
@@ -28,11 +27,13 @@ from gridnav import (
     parse_map,
     problem_from_map,
     prove,
-    tuple_universe,
     zero_map,
 )
-from gridnav.mil import LabelStreams, first_derivation
+from gridnav.mil import LabelStreams, behaviour_goals, first_derivation
 from gridnav.model import unifies
+
+from test_executors import count_calls
+from test_fsc import tuple_universe
 
 SOLVER_TEXT = """\
 s(A,B) :- step_down(A,B).
@@ -48,6 +49,16 @@ s(A,B) :- step_up(A,C), s(C,B).
 
 def zero_background():
     return ActionBackground(zero_map())
+
+
+def behaviour_goal(behaviour):
+    """The resolution goal of one behaviour, from its own first state."""
+    return behaviour_goals(behaviour, (behaviour[0][0],))[0]
+
+
+def body_symbols(hypothesis, metarule):
+    """The body symbols of one metarule's clauses, in canonical order."""
+    return tuple(c.body_symbol for c in hypothesis.ordered() if c.metarule is metarule)
 
 
 class TestProve:
@@ -181,7 +192,7 @@ class TestFirstDerivationSteps:
         from gridnav import BasicEnvironment, ExecutorConfig, execute
 
         run = execute(learned_controller, BasicEnvironment(maze_a), ExecutorConfig())
-        behaviour = [step.as_tuple() for step in run.trace]
+        behaviour = [step[:4] for step in run.trace]
         initial, goal = behaviour_goal(behaviour)
         background = TupleBackground()
         program = learn([(initial, goal)], background, target="c")
@@ -216,7 +227,7 @@ class TestHypothesisText:
         monkeypatch.setattr(mil, "_symbol_key", counting)
         assert hypothesis.to_text() == SOLVER_TEXT
         assert list(hypothesis) == list(hypothesis.ordered())
-        assert hypothesis.body_symbols(Metarule.IDENTITY) == hypothesis.body_symbols(Metarule.TAILREC)
+        assert body_symbols(hypothesis, Metarule.IDENTITY) == body_symbols(hypothesis, Metarule.TAILREC)
         grid = parse_map("se", "pair")
         problem = problem_from_map(grid)
         for _ in range(2):
@@ -227,8 +238,8 @@ class TestHypothesisText:
     def test_symbol_sets_are_built_once(self):
         hypothesis = Hypothesis.from_text(SOLVER_TEXT)
         identity, tailrec = hypothesis.symbol_sets
-        assert identity == set(hypothesis.body_symbols(Metarule.IDENTITY))
-        assert tailrec == set(hypothesis.body_symbols(Metarule.TAILREC))
+        assert identity == set(body_symbols(hypothesis, Metarule.IDENTITY))
+        assert tailrec == set(body_symbols(hypothesis, Metarule.TAILREC))
         assert hypothesis.symbol_sets is hypothesis.symbol_sets
 
 
@@ -292,14 +303,7 @@ class TestTupleBackground:
 
     def test_learning_validates_fewer_tuples_than_the_universe(self, monkeypatch):
         universe_size = len(tuple_universe())
-        validated = []
-        original = FSCTuple.__post_init__
-
-        def counting(self):
-            validated.append(self)
-            original(self)
-
-        monkeypatch.setattr(FSCTuple, "__post_init__", counting)
+        validated = count_calls(monkeypatch, FSCTuple, "__new__")
         controller = learn_controller(learn_solver())
         assert len(controller.tuples) == 128
         assert len(validated) < universe_size

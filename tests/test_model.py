@@ -20,7 +20,7 @@ from gridnav import (
 )
 from gridnav.model import action_name
 
-from test_grid import adjacency_edges
+from test_grid import adjacency_edges, neighbors
 
 # Ground actions of the 2x2 all-floor training map, one line per ordered
 # adjacent pair.
@@ -46,7 +46,7 @@ def reference_actions(grid):
             StateTerm(grid.id, nxt, grid.tile_at(nxt)),
         )
         for cell in grid.passable_cells()
-        for d, nxt in grid.neighbors(cell)
+        for d, nxt in neighbors(grid, cell)
     ]
     actions.sort(key=lambda a: (a.name, a.input.pos))
     return tuple(actions)
@@ -136,11 +136,11 @@ class TestActionBackground:
     def test_cell_state_built_once_per_background(self, maze_a):
         def reaches(background, cell):
             """The output states for ``cell`` from each of its neighbors."""
-            return [nxt for _, n in maze_a.neighbors(cell)
+            return [nxt for _, n in neighbors(maze_a, cell)
                     for _, nxt in background.successors(StateTerm(maze_a.id, n, UNKNOWN))
                     if nxt.pos == cell]
 
-        cell = next(c for c in maze_a.passable_cells() if len(maze_a.neighbors(c)) >= 2)
+        cell = next(c for c in maze_a.passable_cells() if len(neighbors(maze_a, c)) >= 2)
         first = reaches(ActionBackground(maze_a), cell)
         assert len(first) >= 2
         assert all(state is first[0] for state in first)
@@ -156,7 +156,7 @@ class TestActionBackground:
             assert list(background.successors(every)) == expected_successors(actions, every)
             from_start = StateTerm(grid.id, UNKNOWN, "s")
             expected = expected_successors(actions, from_start)
-            assert len(expected) == (len(grid.neighbors(grid.start)) if grid.start else 0)
+            assert len(expected) == (len(neighbors(grid, grid.start)) if grid.start else 0)
             assert list(background.successors(from_start)) == expected
             other = StateTerm("other", UNKNOWN, UNKNOWN)
             assert list(background.successors(other)) == []

@@ -15,7 +15,6 @@ from gridnav import (
     generate_lake,
     generate_maze,
     instantiate_actions,
-    is_chained,
     observation_matrices,
     observe,
     parse_map,
@@ -23,6 +22,8 @@ from gridnav import (
     problem_from_map,
     solve,
 )
+
+from test_fsc import is_chained
 
 
 def trace_positions(grid, labels):
