@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .fsc import FSC, observe, reverse_pair
-from .grid import DELTA, DIRECTIONS, OPPOSITE, PASSABLE_TILES, Coord, GridMap
+from .fsc import FSC, STATE_FOR_ACTION, observe, reverse_pair
+from .grid import DELTA, PASSABLE_TILES, Coord, GridMap
 from .record import FrozenRecord, Record
 from .slam import SlamMap, slam_move, slam_permits, slam_update
 
@@ -22,6 +22,9 @@ BUDGET_EXCEEDED = "budget_exceeded"
 
 BACKTRACKING = "backtracking"
 REVERSING = "reversing"
+
+# The reversing executor's stack entry that retraces an action.
+_REVERSAL = {a: (False, *reverse_pair(a, q)) for a, q in STATE_FOR_ACTION.items()}
 
 
 class ExecutorError(Exception):
@@ -35,47 +38,64 @@ class BasicEnvironment:
     an at-goal flag, move acceptance, and opaque integer checkpoint tokens.
     The accepted-move trail is kept for reporting and rendering; executors
     never read it.
+
+    The position is a flat cell index, ``y * width + x``.  Each cell's
+    ``Coord`` and (observation, at-goal) reply are built on first arrival
+    and kept for the run: re-entering a cell builds nothing and calls no
+    ``observe``.
     """
 
     supports_checkpoint = True
 
     def __init__(self, grid: GridMap):
         self.grid = grid
-        self._start, self._end = grid.require_endpoints()
-        self._pos = self._start
-        self._trail: list[Coord] = [self._start]
-        self._tokens: dict[Coord, int] = {}
-        self._states: list[Coord] = []
+        start, end = grid.require_endpoints()
+        width = grid.width
+        self._end = end.y * width + end.x
+        self._start = self._pos = start.y * width + start.x
+        self._trail = [start]
+        self._cells = [None] * (width * grid.height)
+        self._cells[self._start] = (start, (observe(grid, start), False))
+        self._tokens: dict[int, int] = {}
+        self._states: list[int] = []
 
     def reset(self) -> str:
         """Place the agent on the start tile and return the observation."""
         self._pos = self._start
-        self._trail = [self._start]
-        return observe(self.grid, self._pos)
+        start, (obs, _) = self._cells[self._start]
+        self._trail = [start]
+        return obs
 
     def step(self, action: str) -> tuple[str, bool] | None:
         """Apply an action label.  Returns (observation, at_goal), or None
         when the move hits a wall or the map edge (state unchanged)."""
-        if action not in DIRECTIONS:
-            raise ExecutorError(f"unknown action label {action!r}")
-        dx, dy = DELTA[action]
-        grid = self.grid
-        x, y = self._pos.x + dx, self._pos.y + dy
-        if not (0 <= x < grid.width and 0 <= y < grid.height
-                and grid.tiles[y][x] in PASSABLE_TILES):
+        try:
+            dx, dy = DELTA[action]
+        except (KeyError, TypeError):
+            raise ExecutorError(f"unknown action label {action!r}") from None
+        grid, cells = self.grid, self._cells
+        x, y = cells[self._pos][0]
+        x += dx
+        y += dy
+        width = grid.width
+        if not (0 <= x < width and 0 <= y < grid.height and grid.tiles[y][x] in PASSABLE_TILES):
             return None
-        nxt = self._pos = Coord(x, y)
-        self._trail.append(nxt)
-        return observe(grid, nxt), nxt == self._end
+        i = self._pos = y * width + x
+        cell = cells[i]
+        if cell is None:
+            coord = tuple.__new__(Coord, (x, y))
+            cell = cells[i] = (coord, (observe(grid, coord), i == self._end))
+        self._trail.append(cell[0])
+        return cell[1]
 
     def checkpoint(self) -> int:
         """Opaque token for the current state; equal states yield equal
         tokens."""
-        token = self._tokens.get(self._pos)
+        pos = self._pos
+        token = self._tokens.get(pos)
         if token is None:
-            token = len(self._states)
-            self._tokens[self._pos] = token
-            self._states.append(self._pos)
+            token = self._tokens[pos] = len(self._states)
+            self._states.append(pos)
         return token
 
     def restore(self, token: int) -> None:
@@ -143,23 +163,6 @@ def _trail_within_budget(env) -> tuple[Coord, ...]:
     return getattr(env, "trail", ())[:-1]
 
 
-class _Frame:
-    """A backtracking choice point: the state entered, its checkpoint token
-    and SLAM pose, the lookup pairs still to try, and the step that entered
-    it as a plain (q, o, a, q_next) tuple (None at the root)."""
-
-    __slots__ = ("q", "obs", "token", "pose", "pairs", "idx", "entering")
-
-    def __init__(self, q, obs, token, pose, pairs, entering):
-        self.q = q
-        self.obs = obs
-        self.token = token
-        self.pose = pose
-        self.pairs = pairs
-        self.idx = 0
-        self.entering = entering
-
-
 def run_backtracking(fsc: FSC, env, cfg: ExecutorConfig) -> ExecutionResult:
     """Depth-first search over controller choices with environment rewind.
 
@@ -172,87 +175,85 @@ def run_backtracking(fsc: FSC, env, cfg: ExecutorConfig) -> ExecutionResult:
     if not getattr(env, "supports_checkpoint", False):
         raise ExecutorError("backtracking executor needs checkpoint/restore support")
     moves_left = cfg.budget_for(env)
+    lookup, step, restore, checkpoint = fsc.lookup, env.step, env.restore, env.checkpoint
     obs = env.reset()
     slam = SlamMap() if cfg.slam else None
     if slam is not None:
         slam_update(slam, obs)
-    token = env.checkpoint()
-    visited = {token}
+    at = checkpoint()  # the environment's state: restoring it is a no-op
+    visited = {at}
 
-    def kept_trace(stack, *last) -> tuple[TraceStep, ...]:
-        """TraceSteps of the frames' entering steps, then of ``last``."""
-        kept = [f.entering for f in stack if f.entering is not None] + list(last)
-        return tuple(TraceStep(*step) for step in kept)
+    def kept_trace(frames) -> tuple[TraceStep, ...]:
+        """A TraceStep of the pair last tried at each frame."""
+        return tuple(TraceStep(f[0], f[1], *f[4][f[5] - 1]) for f in frames)
 
-    stack = [_Frame("q0", obs, token, slam.pose if slam is not None else None,
-                    fsc.lookup("q0", obs), None)]
+    # A choice point: [q, o, token, SLAM pose, lookup pairs, next pair index];
+    # its last tried pair entered the frame above it.
+    stack = [["q0", obs, at, slam.pose if slam is not None else None, lookup("q0", obs), 0]]
     while stack:
         frame = stack[-1]
-        if frame.idx >= len(frame.pairs):
+        pairs, idx = frame[4], frame[5]
+        if idx == len(pairs):
             stack.pop()
             continue
-        a, q_next = frame.pairs[frame.idx]
-        frame.idx += 1
-        env.restore(frame.token)
+        frame[5] = idx + 1
+        a, q_next = pairs[idx]
+        if at != frame[2]:
+            at = frame[2]
+            restore(at)
         if slam is not None:
-            slam.pose = frame.pose
+            slam.pose = frame[3]
             if not slam_permits(slam, a):
                 continue
-        result = env.step(a)
+        result = step(a)
         if result is None:
             continue
         moves_left -= 1
         if moves_left < 0:
-            kept = kept_trace(stack)
+            kept = kept_trace(stack[:-1])
             return ExecutionResult(BUDGET_EXCEEDED, len(kept), kept,
                                    _trail_within_budget(env), slam)
         obs2, at_goal = result
         if slam is not None:
             slam_move(slam, a)
             slam_update(slam, obs2)
-        step = (frame.q, frame.obs, a, q_next)
         if at_goal:
-            trace = kept_trace(stack, step)
+            trace = kept_trace(stack)
             return ExecutionResult(SOLVED, len(trace), trace, getattr(env, "trail", ()), slam)
-        token = env.checkpoint()
-        if token in visited:
+        at = checkpoint()
+        if at in visited:
             continue
-        visited.add(token)
-        stack.append(_Frame(q_next, obs2, token, slam.pose if slam is not None else None,
-                            fsc.lookup(q_next, obs2), step))
+        visited.add(at)
+        stack.append([q_next, obs2, at, slam.pose if slam is not None else None,
+                      lookup(q_next, obs2), 0])
     return ExecutionResult(EXHAUSTED, 0, (), getattr(env, "trail", ()), slam)
 
 
 def run_reversing(fsc: FSC, env, cfg: ExecutorConfig) -> ExecutionResult:
     """Stack machine that explores by really moving, never rewinding.
 
-    Arriving somewhere by a forward move pushes the untried lookup pairs for
-    the new (q, o) — minus the immediate reverse of the arriving action, to
-    stop oscillation — then the reverse of the move itself on top.  Popping
-    the reverse physically retraces the step, so by the time a pending
-    sibling is popped the agent is back where that sibling was recorded.
+    Arriving somewhere by a forward move pushes the reverse of the move, then
+    on top of it the lookup pairs for the new (q, o) — minus the immediate
+    reverse of the arriving action, to stop oscillation.  Popping the
+    reverse physically retraces the step, so by the time a pending sibling
+    is popped the agent is back where that sibling was recorded.
     An empty stack means the exploration is exhausted.
     """
     moves_left = cfg.budget_for(env)
+    lookup, step = fsc.lookup, env.step
     obs = env.reset()
     q = "q0"
     slam = SlamMap() if cfg.slam else None
     if slam is not None:
         slam_update(slam, obs)
-    stack: list[tuple[bool, str, str]] = []  # (forward, a, q_next)
     trace: list[TraceStep] = []
-
-    def push_pairs(exclude: str | None) -> None:
-        for a, q_next in reversed(fsc.lookup(q, obs)):
-            if a != exclude:
-                stack.append((True, a, q_next))
-
-    push_pairs(exclude=None)
+    # (forward, a, q_next); the last pushed is tried first.
+    stack = [(True, a, q_next) for a, q_next in reversed(lookup(q, obs))]
     while stack:
         forward, a, q_next = stack.pop()
         if forward and slam is not None and not slam_permits(slam, a):
             continue
-        result = env.step(a)
+        result = step(a)
         if result is None:
             continue
         moves_left -= 1
@@ -264,15 +265,19 @@ def run_reversing(fsc: FSC, env, cfg: ExecutorConfig) -> ExecutionResult:
         if slam is not None:
             slam_move(slam, a)
             slam_update(slam, obs2)
-        trace.append(TraceStep(q, obs, a, q_next, reversal=not forward))
+        trace.append(TraceStep(q, obs, a, q_next, not forward))
         q, obs = q_next, obs2
         if at_goal:
             return ExecutionResult(
                 SOLVED, len(trace), tuple(trace), getattr(env, "trail", ()), slam,
             )
         if forward:
-            stack.append((False, *reverse_pair(a, q_next)))
-            push_pairs(exclude=OPPOSITE[a])
+            reversal = _REVERSAL[a]
+            stack.append(reversal)
+            back = reversal[1]
+            for a, q_next in reversed(lookup(q, obs)):
+                if a != back:
+                    stack.append((True, a, q_next))
     return ExecutionResult(EXHAUSTED, len(trace), tuple(trace), getattr(env, "trail", ()), slam)
 
 

@@ -18,6 +18,7 @@ START = "s"
 END = "e"
 TILE_KINDS = frozenset((FLOOR, WALL, START, END))
 PASSABLE_TILES = frozenset((FLOOR, START, END))
+_NO_TILES = str.maketrans("", "", "".join(TILE_KINDS))
 
 # Canonical direction order: up, right, down, left.  Observation labels,
 # controller lookups and action alphabets all use this order.
@@ -64,27 +65,26 @@ class GridMap(FrozenRecord):
             raise MapError(f"map {id!r}: dimensions must be positive")
         if len(tiles) != height or any(len(r) != width for r in tiles):
             raise MapError(f"map {id!r}: tile array does not match declared dimensions")
-        starts: list[Coord] = []
-        ends: list[Coord] = []
-        for y, row in enumerate(tiles):
-            if not TILE_KINDS.issuperset(row):
-                bad = next(t for t in row if t not in TILE_KINDS)
-                raise MapError(f"map {id!r}: unknown tile kind {bad!r}")
-            if START in row or END in row:
-                for x, t in enumerate(row):
-                    if t == START:
-                        starts.append(Coord(x, y))
-                    elif t == END:
-                        ends.append(Coord(x, y))
-        if len(starts) > 1 or len(ends) > 1:
+        # Joined by a non-kind, the n tiles are all one-character kinds exactly
+        # when the text has 2n - 1 characters and its even places translate away.
+        try:
+            cells = "|".join(map("|".join, tiles))
+        except TypeError:
+            cells = ""
+        if len(cells) != 2 * width * height - 1 or cells[::2].translate(_NO_TILES):
+            bad = next(t for row in tiles for t in row if t not in TILE_KINDS)
+            raise MapError(f"map {id!r}: unknown tile kind {bad!r}")
+        cells = cells[::2]
+        if cells.count(START) > 1 or cells.count(END) > 1:
             raise MapError(f"map {id!r}: multiple start or end tiles")
+        start, end = cells.find(START), cells.find(END)
         set_field = object.__setattr__
         set_field(self, "id", id)
         set_field(self, "width", width)
         set_field(self, "height", height)
         set_field(self, "tiles", tiles)
-        set_field(self, "start", starts[0] if starts else None)
-        set_field(self, "end", ends[0] if ends else None)
+        set_field(self, "start", Coord(start % width, start // width) if start >= 0 else None)
+        set_field(self, "end", Coord(end % width, end // width) if end >= 0 else None)
 
     @classmethod
     def from_rows(cls, map_id: str, rows_top_first: Sequence[str]) -> "GridMap":
@@ -164,15 +164,15 @@ def with_endpoints(grid: GridMap, start: Coord, end: Coord) -> GridMap:
     """Copy of ``grid`` with start/end moved to the given passable cells."""
     if start == end:
         raise MapError("start and end must be distinct")
-    rows = [list(row) for row in grid.tiles]
-    for c in (grid.start, grid.end):
-        if c is not None:
-            rows[c.y][c.x] = FLOOR
-    for c, kind in ((start, START), (end, END)):
-        if not grid.in_bounds(c) or rows[c.y][c.x] not in PASSABLE_TILES:
+    rows = list(grid.tiles)  # only rows whose tiles change are copied
+    for c, kind in ((grid.start, FLOOR), (grid.end, FLOOR), (start, START), (end, END)):
+        if c is None:
+            continue
+        if kind != FLOOR and (not grid.in_bounds(c) or rows[c.y][c.x] not in PASSABLE_TILES):
             raise MapError(f"cannot place {kind!r} on unpassable cell {c!r}")
-        rows[c.y][c.x] = kind
-    return GridMap(grid.id, grid.width, grid.height, tuple(tuple(r) for r in rows))
+        row = rows[c.y] = list(rows[c.y])
+        row[c.x] = kind
+    return GridMap(grid.id, grid.width, grid.height, tuple(map(tuple, rows)))
 
 
 def _place_endpoints(rows: list[list[str]], map_id: str, width: int, height: int,

@@ -46,6 +46,9 @@ class Metarule(Enum):
     IDENTITY = "identity"
     TAILREC = "tailrec"
 
+    # Members are singletons; Enum's own hash is a Python-level call.
+    __hash__ = object.__hash__
+
 
 METARULES = (Metarule.IDENTITY, Metarule.TAILREC)
 
@@ -265,17 +268,6 @@ class TupleBackground:
             yield t, tails
 
 
-class _Frame:
-    __slots__ = ("state", "entered_via", "children", "idx", "success")
-
-    def __init__(self, state, entered_via, children):
-        self.state = state
-        self.entered_via = entered_via
-        self.children = children
-        self.idx = 0
-        self.success = False
-
-
 _UNSEEN = object()
 
 
@@ -372,15 +364,17 @@ def prove_by_enumeration(initial, goal, background) -> frozenset:
     """
     metasubs: set[tuple[Metarule, object]] = set()
 
-    def make_frame(state, entered_via) -> _Frame:
+    def make_frame(state, entered_via) -> list:
+        """[state, symbols entering it, (next state, symbols) children,
+        next child index, some derivation through it succeeds]."""
         grouped: dict[object, set] = {}
         for sym, nxt in background.successors(state):
             grouped.setdefault(nxt, set()).add(sym)
-        frame = _Frame(state, entered_via, list(grouped.items()))
-        for nxt, syms in frame.children:
+        frame = [state, entered_via, list(grouped.items()), 0, False]
+        for nxt, syms in frame[2]:
             if nxt.matches(goal):
                 metasubs.update((Metarule.IDENTITY, sym) for sym in syms)
-                frame.success = True
+                frame[4] = True
         return frame
 
     # A frame's success propagates to every frame beneath it on the stack,
@@ -388,20 +382,20 @@ def prove_by_enumeration(initial, goal, background) -> frozenset:
     stack = [make_frame(initial, None)]
     path = {initial}
     while stack:
-        top = stack[-1]
-        if top.idx < len(top.children):
-            nxt, syms = top.children[top.idx]
-            top.idx += 1
+        state, entered_via, children, idx, success = top = stack[-1]
+        if idx < len(children):
+            nxt, syms = children[idx]
+            top[3] = idx + 1
             if nxt in path:
                 continue
             path.add(nxt)
             stack.append(make_frame(nxt, syms))
         else:
             stack.pop()
-            path.discard(top.state)
-            if top.success and stack:
-                metasubs.update((Metarule.TAILREC, sym) for sym in top.entered_via)
-                stack[-1].success = True
+            path.discard(state)
+            if success and stack:
+                metasubs.update((Metarule.TAILREC, sym) for sym in entered_via)
+                stack[-1][4] = True
     return frozenset(metasubs)
 
 
@@ -443,13 +437,14 @@ def first_derivation(background, hypothesis: Hypothesis, initial, goal):
     steps of the first derivation found, chained from ``initial``, or None.
     """
     identity_syms, tailrec_syms = hypothesis.symbol_sets
+    successors, goal_matches = background.successors, goal.matches
 
     def expand(state):
         """(completing step or None, Tailrec step list)."""
         expansions = []
-        for step in background.successors(state):
+        for step in successors(state):
             sym, nxt = step
-            if sym in identity_syms and nxt.matches(goal):
+            if sym in identity_syms and goal_matches(nxt):
                 return step, expansions
             if sym in tailrec_syms:
                 expansions.append(step)

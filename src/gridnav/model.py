@@ -67,10 +67,12 @@ class StateTerm(NamedTuple):
     def matches(self, other: "StateTerm") -> bool:
         """Fieldwise unification against another state term; UNKNOWN fields
         on either side match anything."""
+        map_id, pos, tile = self
+        map_id2, pos2, tile2 = other
         return (
-            self.map_id == other.map_id
-            and unifies(self.pos, other.pos)
-            and unifies(self.tile, other.tile)
+            map_id == map_id2
+            and (pos is UNKNOWN or pos2 is UNKNOWN or pos == pos2)
+            and (tile is UNKNOWN or tile2 is UNKNOWN or tile == tile2)
         )
 
     def __repr__(self) -> str:
@@ -138,6 +140,9 @@ def actions_to_text(actions: Iterable[GroundAction]) -> str:
     return "\n".join(a.as_line() for a in actions) + "\n"
 
 
+# Builds a NamedTuple that validates nothing without its Python-level __new__.
+_new_tuple = tuple.__new__
+
 # (action name, dx, dy) in sorted action-name order: down, left, right, up.
 _STEPS = tuple(sorted((action_name(d), *DELTA[d]) for d in DIRECTIONS))
 
@@ -151,10 +156,10 @@ class ActionBackground:
     UNKNOWN position they are all such steps of the map, in the order of
     ``instantiate_actions``: by name, then input position.
 
-    Each passable cell's output ``StateTerm`` is built on first reach and
-    kept in a flat list indexed by ``y * width + x``, so every later reach of
-    the cell yields the same object.  The list lives and dies with the
-    background: one per solve, never shared between maps or runs.
+    Each passable cell's output ``StateTerm`` and ``Coord`` are built on
+    first reach and kept in a flat list indexed by ``y * width + x``, so
+    every later reach of the cell yields the same object.  The list lives
+    and dies with the background: one per solve, never shared.
     """
 
     def __init__(self, grid: GridMap):
@@ -164,19 +169,20 @@ class ActionBackground:
     def successors(self, state: StateTerm):
         grid = self.grid
         map_id = grid.id
-        if state.map_id != map_id:
+        state_map_id, pos, state_tile = state
+        if state_map_id != map_id:
             return
-        if state.pos is UNKNOWN:
+        if pos is UNKNOWN:
             for a in instantiate_actions(grid):
                 if a.input.matches(state):
                     yield a.name, a.output
             return
         width, height, tiles, states = grid.width, grid.height, grid.tiles, self._states
-        x, y = state.pos
+        x, y = pos
         if not (0 <= x < width and 0 <= y < height):
             return
         tile = tiles[y][x]
-        if tile not in PASSABLE_TILES or not unifies(state.tile, tile):
+        if tile not in PASSABLE_TILES or not (state_tile is UNKNOWN or state_tile == tile):
             return
         for name, dx, dy in _STEPS:
             nx, ny = x + dx, y + dy
@@ -186,5 +192,6 @@ class ActionBackground:
                     i = ny * width + nx
                     nxt = states[i]
                     if nxt is None:
-                        nxt = states[i] = StateTerm(map_id, Coord(nx, ny), nxt_tile)
+                        nxt = states[i] = _new_tuple(
+                            StateTerm, (map_id, _new_tuple(Coord, (nx, ny)), nxt_tile))
                     yield name, nxt

@@ -6,7 +6,8 @@ to re-enter cells it already occupied (except when reversing course), which
 is what stops it circling in open areas.  Poses are exact integer offsets
 from the start cell; grid actions are noiseless, so there is no uncertainty
 model.  ``slam_update`` reads each observation label's neighbor offsets and
-evidence from a table of the 16 p/u labels, built once at import.
+evidence from a table of the 16 p/u labels, built once at import; a
+``SlamMap`` is built once per executor run.
 """
 
 from __future__ import annotations
@@ -71,29 +72,31 @@ def slam_update(slam: SlamMap, obs: str) -> SlamMap:
     x, y = pose
     for dx, dy, value in evidence:
         offset = (x + dx, y + dy)
-        current = cells.get(offset, UNOBSERVED)
+        current = cells.setdefault(offset, value)
+        if current == value:
+            continue
         if current == UNOBSERVED:
             cells[offset] = value
-        elif current == VISITED:
-            if value == UNPASSABLE:
-                raise SlamFault(f"cell {offset} was visited but now observes unpassable")
-        elif current != value:
+        elif current != VISITED:
             raise SlamFault(f"cell {offset} observed {value!r} after {current!r}")
+        elif value == UNPASSABLE:
+            raise SlamFault(f"cell {offset} was visited but now observes unpassable")
     return slam
 
 
 def slam_move(slam: SlamMap, action: str) -> SlamMap:
     """Shift the dead-reckoned pose by the action's delta."""
     dx, dy = DELTA[action]
-    slam.pose = (slam.pose[0] + dx, slam.pose[1] + dy)
+    x, y = slam.pose
+    slam.pose = (x + dx, y + dy)
     return slam
 
 
 def slam_permits(slam: SlamMap, action: str) -> bool:
     """Whether a move is allowed: only into a cell not yet visited."""
     dx, dy = DELTA[action]
-    target = (slam.pose[0] + dx, slam.pose[1] + dy)
-    return slam.cell(target) != VISITED
+    x, y = slam.pose
+    return slam.cells.get((x + dx, y + dy)) != VISITED
 
 
 def render_slam(slam: SlamMap) -> str:

@@ -71,7 +71,7 @@ def solve(grid: GridMap, hypothesis: Hypothesis, problem: PlanningProblem | None
     here = StateTerm(grid.id, problem.initial.pos, grid.tile_at(problem.initial.pos))
     actions = []
     for name, nxt in steps:
-        actions.append(GroundAction(name, here, nxt))
+        actions.append(tuple.__new__(GroundAction, (name, here, nxt)))
         here = nxt
     labels = tuple(direction_of(name) for name, _ in steps)
     return Plan(tuple(actions), labels, problem.initial, problem.goal)

@@ -8,6 +8,10 @@ exactly on the reachable instances.  fsc-re has no map of where it has been,
 so on maps with cycles it can circle until its step budget runs out; it
 misses reachable instances only that way (566 of the 7,636 small ones).  ``hypothesis`` checks the same on
 random wall-density grids of sides 2 to 16.
+
+The planner is pinned against a literal reading of the learned program: on
+every small instance the solver's plan is the first SLD refutation of a
+recursive interpreter.  On perfect mazes fsc-bt's labels equal the solver's.
 """
 
 from __future__ import annotations
@@ -22,11 +26,16 @@ from gridnav import (
     BUDGET_EXCEEDED,
     DIRECTIONS,
     SOLVED,
+    ActionBackground,
     Coord,
     GridMap,
+    Metarule,
+    generate_maze,
+    problem_from_map,
     run_single,
     with_endpoints,
 )
+from gridnav.model import direction_of
 
 from test_top_program import small_maps
 
@@ -49,6 +58,34 @@ def bfs_distance(grid: GridMap, start: Coord, end: Coord) -> int | None:
                 dist[nxt] = dist[cell] + 1
                 frontier.append(nxt)
     return None
+
+
+def sld_plan(grid: GridMap, hypothesis) -> tuple[str, ...] | None:
+    """The labels of the first SLD refutation of the learned program on the
+    map's problem, or None: a literal reading of the program as Prolog.
+
+    Clauses are tried in ``Hypothesis.ordered()`` order, each body atom
+    against the map's step atoms, depth first; a Tailrec call never enters a
+    state already on the current path (loop check on the path only)."""
+    background = ActionBackground(grid)
+    problem = problem_from_map(grid)
+
+    def refute(state, path):
+        for clause in hypothesis.ordered():
+            for symbol, nxt in background.successors(state):
+                if symbol != clause.body_symbol:
+                    continue
+                if clause.metarule is Metarule.IDENTITY:
+                    if nxt.matches(problem.goal):
+                        return [symbol]
+                elif nxt not in path:
+                    rest = refute(nxt, path | {nxt})
+                    if rest is not None:
+                        return [symbol] + rest
+        return None
+
+    symbols = refute(problem.initial, frozenset([problem.initial]))
+    return None if symbols is None else tuple(map(direction_of, symbols))
 
 
 def small_instances():
@@ -87,6 +124,15 @@ class TestSmallInstances:
                     if (bad := violations(grid, solver_hypothesis, learned_controller))]
         assert failures == []
 
+    def test_solver_plan_is_the_sld_refutation(self, solver_hypothesis):
+        failures = []
+        for grid in small_instances():
+            run = run_single("solver", grid, solver=solver_hypothesis)
+            plan = sld_plan(grid, solver_hypothesis)
+            if (run.labels if run.outcome == SOLVED else None) != plan:
+                failures.append((grid, run.outcome, run.labels, plan))
+        assert failures == []
+
     def test_bfs_oracle(self):
         grid = with_endpoints(GridMap("u", 3, 2, (("f", "w", "f"), ("f", "f", "f"))),
                               Coord(0, 0), Coord(2, 0))
@@ -94,6 +140,20 @@ class TestSmallInstances:
         walled = with_endpoints(GridMap("c", 3, 1, (("f", "w", "f"),)),
                                 Coord(0, 0), Coord(2, 0))
         assert bfs_distance(walled, walled.start, walled.end) is None
+
+
+class TestPerfectMazes:
+    def test_fsc_bt_labels_equal_the_solver_labels(self, solver_hypothesis,
+                                                   learned_controller):
+        """A perfect maze has one simple path between its endpoints, so the
+        solver and fsc-bt, which both return a simple path, agree."""
+        for side in range(5, 22, 2):
+            for seed in range(20):
+                grid = generate_maze(side, side, seed)
+                solver = run_single("solver", grid, solver=solver_hypothesis)
+                fsc_bt = run_single("fsc-bt", grid, controller=learned_controller)
+                assert solver.outcome == fsc_bt.outcome == SOLVED, (side, seed)
+                assert fsc_bt.labels == solver.labels, (side, seed)
 
 
 @st.composite

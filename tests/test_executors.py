@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 import gridnav.executors as executors
@@ -18,13 +20,17 @@ from gridnav import (
     SOLVED,
     TraceStep,
     execute,
+    fixture_map,
     generate_maze,
+    lake_fixture_names,
+    observe,
     parse_map,
     playback,
     run_backtracking,
     run_reversing,
 )
 
+from gridnav.grid import DELTA, PASSABLE_TILES, Coord
 from test_fsc import is_chained
 
 
@@ -73,7 +79,101 @@ class SpyEnvironment:
         self.inner.restore(token)
 
 
+class ReferenceEnvironment:
+    """``BasicEnvironment`` as it was before it kept its position as a flat
+    cell index and each entered cell's observation: it builds a ``Coord``
+    and calls ``observe`` on every accepted step.  The reference for the
+    differential test."""
+
+    def __init__(self, grid):
+        self.grid = grid
+        self._start, self._end = grid.require_endpoints()
+        self._pos = self._start
+        self._trail = [self._start]
+        self._tokens = {}
+        self._states = []
+
+    def reset(self):
+        self._pos = self._start
+        self._trail = [self._start]
+        return observe(self.grid, self._pos)
+
+    def step(self, action):
+        if action not in DIRECTIONS:
+            raise ExecutorError(f"unknown action label {action!r}")
+        dx, dy = DELTA[action]
+        grid = self.grid
+        x, y = self._pos.x + dx, self._pos.y + dy
+        if not (0 <= x < grid.width and 0 <= y < grid.height
+                and grid.tiles[y][x] in PASSABLE_TILES):
+            return None
+        nxt = self._pos = Coord(x, y)
+        self._trail.append(nxt)
+        return observe(grid, nxt), nxt == self._end
+
+    def checkpoint(self):
+        token = self._tokens.get(self._pos)
+        if token is None:
+            token = len(self._states)
+            self._tokens[self._pos] = token
+            self._states.append(self._pos)
+        return token
+
+    def restore(self, token):
+        self._pos = self._states[token]
+
+    @property
+    def trail(self):
+        return tuple(self._trail)
+
+
+def differential_maps():
+    """The five lake fixtures, both desk mazes and four 51x51 mazes."""
+    return ([fixture_map(name) for name in lake_fixture_names() + ("maze_a", "maze_b")]
+            + [generate_maze(51, 51, seed) for seed in range(4)])
+
+
 class TestBasicEnvironment:
+    def test_matches_reference_on_random_sessions(self):
+        """Seeded random sessions of steps, checkpoints, restores to earlier
+        tokens, resets and unknown labels give the same replies, tokens and
+        trail as the reference."""
+        rejected_off_map = rejected_wall = goals = 0
+        for grid in differential_maps():
+            rng = random.Random(grid.id)
+            env, ref = BasicEnvironment(grid), ReferenceEnvironment(grid)
+            assert env.reset() == ref.reset()
+            tokens = []
+            for _ in range(3000):
+                roll = rng.random()
+                if roll < 0.01:
+                    label = rng.choice(["north", "", "UP", None, ["up"]])
+                    for e in (env, ref):
+                        with pytest.raises(ExecutorError, match="unknown action label"):
+                            e.step(label)
+                elif roll < 0.02:
+                    assert env.reset() == ref.reset(), grid.id
+                elif roll < 0.12:
+                    tokens.append(env.checkpoint())
+                    assert tokens[-1] == ref.checkpoint(), grid.id
+                elif roll < 0.17 and tokens:
+                    token = rng.choice(tokens)
+                    env.restore(token)
+                    ref.restore(token)
+                else:
+                    a = rng.choice(DIRECTIONS)
+                    x, y = ref._pos.shifted(a)
+                    reply = ref.step(a)
+                    assert env.step(a) == reply, (grid.id, a)
+                    if reply is None and 0 <= x < grid.width and 0 <= y < grid.height:
+                        rejected_wall += 1
+                    elif reply is None:
+                        rejected_off_map += 1
+                    else:
+                        goals += reply[1]
+            assert env.trail == ref.trail, grid.id
+        assert rejected_wall > 0 and rejected_off_map > 0 and goals > 1
+
     def test_reset_returns_initial_observation(self, maze_a):
         env = BasicEnvironment(maze_a)
         assert env.reset() == "upuu"
@@ -346,6 +446,15 @@ class TestValueObjectChurn:
         assert result.outcome == outcome
         assert result.trace
         assert len(built) == len(result.trace)
+
+    def test_backtracking_observes_each_cell_once(self, monkeypatch, learned_controller):
+        observed = count_calls(monkeypatch, executors, "observe")
+        grid = fixture_map("lake_01")
+        result = run_backtracking(learned_controller, BasicEnvironment(grid), ExecutorConfig())
+        assert result.outcome == SOLVED
+        cells = set(result.path)
+        assert len(result.path) > 2 * len(cells)  # most moves re-enter a cell
+        assert len(observed) <= len(cells)
 
     @pytest.mark.parametrize("slam", [False, True])
     def test_reversing_builds_no_controller_tuples(

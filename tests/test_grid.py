@@ -139,6 +139,40 @@ class TestGridMapInvariants:
         with pytest.raises(MapError, match="unknown tile kind '\\?'"):
             GridMap("bad", 2, 2, (("s", "s"), ("f", "?")))
 
+    @pytest.mark.parametrize("row, bad", [
+        (("ff", ""), "'ff'"),    # a long and an empty tile make up the row length
+        (("", "ff"), "''"),
+        (("f", 1), "1"),
+        (("f", b"f"), "b'f'"),
+        (("|", "f"), "'\\|'"),  # the separator used to check tiles
+        (("f|f", ""), "'f\\|f'"),
+        (("S", "f"), "'S'"),
+    ])
+    def test_every_tile_is_one_known_kind(self, row, bad):
+        with pytest.raises(MapError, match=f"unknown tile kind {bad}$"):
+            GridMap("bad", 2, 2, (("f", "f"), row))
+
+    def test_unhashable_tile_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            GridMap("bad", 2, 1, (("f", ["f"]),))
+
+    def test_endpoints_read_off_the_tiles(self):
+        grid = GridMap("g", 3, 2, (("f", "w", "e"), ("s", "f", "f")), start=Coord(2, 1))
+        assert (grid.start, grid.end) == (Coord(0, 1), Coord(2, 0))
+        assert GridMap("g", 1, 1, (("f",),)).start is None
+
+    def test_with_endpoints_copies_only_changed_rows(self):
+        grid = fixture_map("lake_01")
+        cells = grid.passable_cells()
+        start, end = cells[0], cells[-1]
+        moved = with_endpoints(grid, start, end)
+        changed = {grid.start.y, grid.end.y, start.y, end.y}
+        for y, row in enumerate(moved.tiles):
+            assert type(row) is tuple
+            assert (row is grid.tiles[y]) == (y not in changed), y
+        assert (moved.start, moved.end) == (start, end)
+        assert serialize_map(moved).count("s") == serialize_map(moved).count("e") == 1
+
     def test_with_endpoints_moves_tiles(self):
         grid = parse_map("sf\nfe", "tiny")
         moved = with_endpoints(grid, Coord(1, 1), Coord(0, 0))
