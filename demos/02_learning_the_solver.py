@@ -39,10 +39,10 @@ print("example:", f"s({example.initial!r},{example.goal!r})")
 print()
 
 # Learning collects every (template, action symbol) substitution used in a
-# successful derivation: 2 templates x 4 actions = 8 clauses.  It finds them
-# in one pass over the reachable states (the Top program), so any map with
-# steps in all four directions gives the same 8 clauses, in time linear in
-# the map.
+# refutation of the example: 2 templates x 4 actions = 8 clauses.  It reads
+# them off the reachable states (the Top program), one pass forward and one
+# back, so any map with steps in all four directions gives the same 8
+# clauses, in time linear in the map.
 hypothesis = learn([example], background, target="s")
 print(hypothesis.to_text())
 

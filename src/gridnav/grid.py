@@ -90,7 +90,7 @@ class GridMap(FrozenRecord):
     def from_rows(cls, map_id: str, rows_top_first: Sequence[str]) -> "GridMap":
         rows = list(rows_top_first)
         tiles = tuple(tuple(row) for row in reversed(rows))
-        return cls(map_id, len(rows[0]), len(rows), tiles)
+        return cls(map_id, len(rows[0]) if rows else 0, len(rows), tiles)
 
     def in_bounds(self, c: Coord) -> bool:
         return 0 <= c.x < self.width and 0 <= c.y < self.height

@@ -2,9 +2,9 @@
 
 Second-order resolution over exactly two clause templates — Identity
 ``P(x,y) :- Q(x,y)`` and Tailrec ``P(x,y) :- Q(x,z), P(z,y)`` — against a
-ground background.  Every successful derivation of a training goal yields a
-substitution (template, body symbol); applying the substitutions gives the
-learned first-order program.
+ground background.  Every refutation of a training goal yields
+substitutions (template, body symbol); applying them gives the learned
+first-order program.
 
 A background is a set of dyadic ground atoms ``symbol(state, next)``, given
 as any object with one method over hashable states that have
@@ -16,18 +16,18 @@ controller tuples that consume the heads of label streams, read off those
 heads; no tuple universe is built) implement it.
 
 Two engines run over it: ``prove`` collects the metasubstitutions of every
-derivation of an example, for learning; ``first_derivation`` returns the
+refutation of an example, for learning; ``first_derivation`` returns the
 first derivation of a program, for planning and behaviour generation.
 
 ``prove`` builds the Top program of one example (Patsantzis & Muggleton,
 *Top program construction and reduction for polynomial time
-meta-interpretive learning*, MLJ 2021) in one reachability pass: one
-``successors`` call per reachable state.  The pass is exact on the two
-kinds of problem learning poses, label streams (acyclic) and the
-generalized example, so the solver learns in time linear in any map it is
-given.  Any other input runs ``prove_by_enumeration``, which enumerates
-every simple derivation at a cost exponential in the map.  No engine
-re-enters a state on one derivation, so all halt without a depth budget.
+meta-interpretive learning*, MLJ 2021) without enumerating refutations:
+one pass forward over the states reachable from the initial state, one
+``successors`` call each, and one pass back from the goal over the atoms
+found.  Its cost is linear in the reached atoms, so the solver learns in
+time linear in any map it is given.  ``first_derivation`` never re-enters
+a state on one derivation, so it halts on cyclic maps without a depth
+budget.
 """
 
 from __future__ import annotations
@@ -268,135 +268,51 @@ class TupleBackground:
             yield t, tails
 
 
-_UNSEEN = object()
-
-
 def prove(initial, goal, background) -> frozenset:
     """Return the metasubstitutions (metarule, body symbol) that the
-    successful simple derivations of the goal use: the Top program of one
-    example.  Returns the empty set when the goal is unsatisfiable.
+    refutations of the goal use: the Top program of one example.  Returns
+    the empty set when the goal is unsatisfiable.
 
-    One iterative post-order pass over the states reachable from
-    ``initial`` calls ``background.successors`` once per state.  Every atom
-    into a state that matches the goal gives Identity; every atom into a
-    state that reaches the goal gives Tailrec.  The cost is linear in the
-    reached atoms: the generalized example on a 5x5 open floor takes under a
-    millisecond where enumerating its derivations took 43 s.
-
-    Reachability equals simple derivability, and the pass is exact, in two
-    cases it checks:
-
-    - the reached graph is acyclic, so every path is simple.  This holds for
-      label streams, since each atom consumes one head of each stream;
-    - every reached state unifies with both ``initial`` and ``goal``, and
-      no atom re-enters ``initial``.  Each atom out of a reached state is
-      then also an atom out of ``initial``, so each metasubstitution has a
-      derivation of at most two steps.  This is the generalized example.
-
-    Any other input (a bound example on a cyclic map that reaches the goal)
-    runs ``prove_by_enumeration``, so ``prove`` returns what the
-    enumeration returns on every input.
+    A refutation may re-enter a state, so its metasubstitutions are read off
+    reachability.  An atom out of a state reached from ``initial`` gives
+    Identity when it enters a state that matches the goal, and Tailrec when
+    it enters a state from which such an atom can be reached.  A forward
+    pass calls ``background.successors`` once per reached state and keeps
+    the atoms into each state; a backward pass over those atoms, from the
+    states that match the goal, collects both sets.  The cost is linear in
+    the reached atoms on every input.
     """
+    successors = background.successors
+    # Each reached state's atoms in, as (symbol, source state) pairs; the
+    # keys are the reached states.
+    atoms_in = {initial: []}
+    reached = [initial]
+    for state in reached:
+        for sym, nxt in successors(state):
+            into = atoms_in.get(nxt)
+            if into is None:
+                atoms_in[nxt] = [(sym, state)]
+                reached.append(nxt)
+            else:
+                into.append((sym, state))
     identity = set()
     tailrec = set()
-    # A state's value is None while its frame is on the stack, then whether
-    # it reaches the goal.
-    reaches = {initial: None}
-    back_edges = []
-    # Frame: [atoms out of the state, next atom index, reaches the goal, state].
-    stack = [[list(background.successors(initial)), 0, False, initial]]
-    while stack:
-        frame = stack[-1]
-        atoms, idx = frame[0], frame[1]
-        if idx < len(atoms):
-            frame[1] = idx + 1
-            sym, nxt = atoms[idx]
-            if nxt.matches(goal):
+    # States with an atom into a goal state, then every state that reaches one.
+    reaching = set()
+    for state in reached:
+        if state.matches(goal):
+            for sym, src in atoms_in[state]:
                 identity.add(sym)
-                frame[2] = True
-            seen = reaches.get(nxt, _UNSEEN)
-            if seen is _UNSEEN:
-                reaches[nxt] = None
-                stack.append([list(background.successors(nxt)), 0, False, nxt])
-            elif seen is None:
-                back_edges.append((sym, nxt))
-            elif seen:
-                tailrec.add(sym)
-                frame[2] = True
-        else:
-            stack.pop()
-            reaches[frame[3]] = frame[2]
-            if frame[2] and stack:
-                # The parent's last atom entered this state.
-                parent = stack[-1]
-                tailrec.add(parent[0][parent[1] - 1][0])
-                parent[2] = True
-    # The root's value is exact even on a cyclic graph: a state on the
-    # stack that reaches the goal passes that on to every frame beneath it.
-    if not reaches[initial]:
-        return frozenset()
-    if back_edges:
-        if not _two_step_derivable(initial, goal, reaches, back_edges):
-            return prove_by_enumeration(initial, goal, background)
-        tailrec.update(sym for sym, nxt in back_edges if reaches[nxt])
+                reaching.add(src)
+    work = list(reaching)
+    for state in work:
+        for sym, src in atoms_in[state]:
+            tailrec.add(sym)
+            if src not in reaching:
+                reaching.add(src)
+                work.append(src)
     return frozenset([(Metarule.IDENTITY, sym) for sym in identity]
                      + [(Metarule.TAILREC, sym) for sym in tailrec])
-
-
-def _two_step_derivable(initial, goal, reaches, back_edges) -> bool:
-    """Whether every reached state unifies with the initial state and the
-    goal, and no atom re-enters the initial state."""
-    return (all(nxt != initial for _, nxt in back_edges)
-            and all(initial.matches(state) and state.matches(goal)
-                    for state in reaches if state is not initial))
-
-
-def prove_by_enumeration(initial, goal, background) -> frozenset:
-    """Enumerate all successful simple derivations of the goal and return the
-    metasubstitutions (metarule, body symbol) they use.
-
-    A derivation never revisits a state it already passed through, so every
-    derivation is finite and cyclic state graphs terminate.  Returns the
-    empty set when the goal is unsatisfiable.  The cost grows with the
-    number of simple paths, exponentially in the map; ``prove`` runs it
-    only where reachability and simple derivations may differ, and the
-    tests use it as ``prove``'s oracle.
-    """
-    metasubs: set[tuple[Metarule, object]] = set()
-
-    def make_frame(state, entered_via) -> list:
-        """[state, symbols entering it, (next state, symbols) children,
-        next child index, some derivation through it succeeds]."""
-        grouped: dict[object, set] = {}
-        for sym, nxt in background.successors(state):
-            grouped.setdefault(nxt, set()).add(sym)
-        frame = [state, entered_via, list(grouped.items()), 0, False]
-        for nxt, syms in frame[2]:
-            if nxt.matches(goal):
-                metasubs.update((Metarule.IDENTITY, sym) for sym in syms)
-                frame[4] = True
-        return frame
-
-    # A frame's success propagates to every frame beneath it on the stack,
-    # so metasubs stays empty unless the root succeeds.
-    stack = [make_frame(initial, None)]
-    path = {initial}
-    while stack:
-        state, entered_via, children, idx, success = top = stack[-1]
-        if idx < len(children):
-            nxt, syms = children[idx]
-            top[3] = idx + 1
-            if nxt in path:
-                continue
-            path.add(nxt)
-            stack.append(make_frame(nxt, syms))
-        else:
-            stack.pop()
-            path.discard(state)
-            if success and stack:
-                metasubs.update((Metarule.TAILREC, sym) for sym in entered_via)
-                stack[-1][4] = True
-    return frozenset(metasubs)
 
 
 def _goal_pair(example):
@@ -409,8 +325,8 @@ def _goal_pair(example):
 def learn(examples, background, *, target: str) -> Hypothesis:
     """Learn a hypothesis covering every example.
 
-    Collects the metasubstitutions of all successful derivations of each
-    example and instantiates them into clauses.
+    Collects the metasubstitutions of all refutations of each example (its
+    Top program) and instantiates them into clauses.
     """
     examples = list(examples)
     if not examples:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from gridnav import (
@@ -130,6 +132,11 @@ class TestGridMapInvariants:
         with pytest.raises(MapError, match="multiple"):
             GridMap.from_rows("bad", ["ee"])
 
+    @pytest.mark.parametrize("rows", [[], [""]], ids=["no rows", "empty row"])
+    def test_empty_rows_rejected(self, rows):
+        with pytest.raises(MapError, match="dimensions must be positive"):
+            GridMap.from_rows("x", rows)
+
     def test_bad_tile_arrays_rejected(self):
         with pytest.raises(MapError, match="unknown tile kind 'x'"):
             GridMap("bad", 2, 2, (("f", "f"), ("f", "x")))
@@ -242,6 +249,27 @@ class TestLakeGenerator:
             component = connected_component(lake, start)
             assert end in component
             assert component == set(lake.passable_cells())
+
+
+class TestGeneratorDigests:
+    """The generators' output, pinned as one sha256 over ``serialize_map``
+    of every (side, seed) in a grid: a rewrite must stay byte-identical."""
+
+    @staticmethod
+    def digest(generate, sides):
+        h = hashlib.sha256()
+        for side in sides:
+            for seed in range(10):
+                h.update(serialize_map(generate(side, side, seed)).encode())
+        return h.hexdigest()
+
+    def test_mazes_of_odd_sides_5_to_25(self):
+        assert self.digest(generate_maze, range(5, 26, 2)) == (
+            "18f50ea6923bf0a346c9c086a734046a13a850ebd89289e6f87dec2b91b57417")
+
+    def test_lakes_of_sides_5_to_25(self):
+        assert self.digest(generate_lake, range(5, 26)) == (
+            "4e00d45723a503189fece00718b012a06a9eeed7a21b491bb63c4f2115492b14")
 
 
 class TestRender:

@@ -62,12 +62,16 @@ def body_symbols(hypothesis, metarule):
 
 
 class TestProve:
-    def test_minimal_map_single_identity(self):
+    def test_minimal_map_identity_and_both_tailrecs(self):
+        # The refutation right, left, right re-enters the start, so both
+        # steps have a Tailrec instance.
         grid = parse_map("se", "pair")
         background = ActionBackground(grid)
         problem = problem_from_map(grid)
         subs = prove(problem.initial, problem.goal, background)
-        assert subs == frozenset({(Metarule.IDENTITY, "step_right")})
+        assert subs == frozenset({(Metarule.IDENTITY, "step_right"),
+                                  (Metarule.TAILREC, "step_left"),
+                                  (Metarule.TAILREC, "step_right")})
 
     def test_unsatisfiable_goal_empty_set(self):
         # A full wall row splits the map into two components.
@@ -98,10 +102,13 @@ class TestLearn:
         hypothesis = learn([generalized_example("zero")], zero_background(), target="s")
         assert hypothesis.to_text() == SOLVER_TEXT
 
-    def test_single_fact_identity(self):
+    def test_two_cell_map_learns_identity_and_both_tailrecs(self):
         grid = parse_map("se", "pair")
         hypothesis = learn([problem_from_map(grid)], ActionBackground(grid), target="s")
-        assert hypothesis.to_text() == "s(A,B) :- step_right(A,B).\n"
+        assert hypothesis.to_text() == (
+            "s(A,B) :- step_right(A,B).\n"
+            "s(A,B) :- step_left(A,C), s(C,B).\n"
+            "s(A,B) :- step_right(A,C), s(C,B).\n")
 
     def test_deterministic(self):
         first = learn([generalized_example("zero")], zero_background(), target="s")

@@ -1,6 +1,9 @@
-"""``prove`` builds the Top program in one reachability pass; these tests
-hold it to ``prove_by_enumeration``, the enumeration of every simple
-derivation, on every input kind learning poses."""
+"""``prove`` builds the Top program of every refutation of an example.
+These tests hold it to two references written here: the enumeration of
+every simple derivation, which it must equal wherever refutations cannot
+step back (generalized examples and label streams) and contain everywhere,
+and a reading of the Top program off the tiles, which it must equal on
+every bound example."""
 
 from __future__ import annotations
 
@@ -16,9 +19,11 @@ from gridnav import (
     CONTROLLER_STATES,
     OBSERVATION_LABELS,
     ActionBackground,
+    Coord,
     FSCTuple,
     GridMap,
     LabelStreams,
+    Metarule,
     TupleBackground,
     UNKNOWN,
     fixture_map,
@@ -30,20 +35,116 @@ from gridnav import (
     prove,
     with_endpoints,
 )
-from gridnav.mil import EMPTY_STREAMS, prove_by_enumeration
+from gridnav.mil import EMPTY_STREAMS, first_derivation
+from gridnav.model import action_name
 from gridnav.solver import generate_behaviours
 from gridnav.workbench import controller_examples
 
+from test_grid import connected_component, neighbors
 from test_mil import SOLVER_TEXT
+
+
+def maps_of(width, height):
+    """Every wall/floor map of one size."""
+    for cells in product("wf", repeat=width * height):
+        rows = tuple(cells[y * width:(y + 1) * width] for y in range(height))
+        yield GridMap(f"m{width}x{height}", width, height, rows)
 
 
 def small_maps(max_side=3):
     """Every wall/floor map with both sides at most ``max_side``."""
     for width in range(1, max_side + 1):
         for height in range(1, max_side + 1):
-            for cells in product("wf", repeat=width * height):
-                rows = tuple(cells[y * width:(y + 1) * width] for y in range(height))
-                yield GridMap(f"m{width}x{height}", width, height, rows)
+            yield from maps_of(width, height)
+
+
+def bound_instances(maps):
+    """Every map with every ordered pair of distinct passable cells as
+    (start, end)."""
+    for grid in maps:
+        cells = grid.passable_cells()
+        for start in cells:
+            for end in cells:
+                if start != end:
+                    yield with_endpoints(grid, start, end)
+
+
+def small_instances():
+    """The bound instances of every small map."""
+    return bound_instances(small_maps())
+
+
+def prove_by_enumeration(initial, goal, background) -> frozenset:
+    """The metasubstitutions (metarule, body symbol) of every successful
+    simple derivation of the goal: the reference ``prove`` replaced.
+
+    A derivation never revisits a state it already passed through, so every
+    derivation is finite and cyclic state graphs terminate.  Returns the
+    empty set when the goal is unsatisfiable.  The cost grows with the
+    number of simple paths, exponentially in the map.
+    """
+    metasubs: set[tuple[Metarule, object]] = set()
+
+    def make_frame(state, entered_via) -> list:
+        """[state, symbols entering it, (next state, symbols) children,
+        next child index, some derivation through it succeeds]."""
+        grouped: dict[object, set] = {}
+        for sym, nxt in background.successors(state):
+            grouped.setdefault(nxt, set()).add(sym)
+        frame = [state, entered_via, list(grouped.items()), 0, False]
+        for nxt, syms in frame[2]:
+            if nxt.matches(goal):
+                metasubs.update((Metarule.IDENTITY, sym) for sym in syms)
+                frame[4] = True
+        return frame
+
+    # A frame's success propagates to every frame beneath it on the stack,
+    # so metasubs stays empty unless the root succeeds.
+    stack = [make_frame(initial, None)]
+    path = {initial}
+    while stack:
+        state, entered_via, children, idx, success = top = stack[-1]
+        if idx < len(children):
+            nxt, syms = children[idx]
+            top[3] = idx + 1
+            if nxt in path:
+                continue
+            path.add(nxt)
+            stack.append(make_frame(nxt, syms))
+        else:
+            stack.pop()
+            path.discard(state)
+            if success and stack:
+                metasubs.update((Metarule.TAILREC, sym) for sym in entered_via)
+                stack[-1][4] = True
+    return frozenset(metasubs)
+
+
+def tiles_top_program(grid: GridMap) -> frozenset:
+    """The Top program of a bound example, read off the tiles: Identity for
+    each step out of a cell reached from the start into the end, Tailrec for
+    each such step into a cell from which the end is reached in one step or
+    more."""
+    reached = connected_component(grid, grid.start)
+    # Steps run both ways, so with a neighbor the end is reached again from
+    # itself and from every cell of its component; without one, from none.
+    reaching = connected_component(grid, grid.end) if neighbors(grid, grid.end) else set()
+    subs = set()
+    for cell in reached:
+        for d, nxt in neighbors(grid, cell):
+            if nxt == grid.end:
+                subs.add((Metarule.IDENTITY, action_name(d)))
+            if nxt in reaching:
+                subs.add((Metarule.TAILREC, action_name(d)))
+    return frozenset(subs)
+
+
+def prove_bound(grid: GridMap, background=None) -> frozenset:
+    """``prove`` on the bound example of a map with endpoints."""
+    problem = problem_from_map(grid)
+    if background is None:
+        background = ActionBackground(grid)
+    return prove(problem.initial, problem.goal, background)
 
 
 def assert_agrees(initial, goal, background):
@@ -79,19 +180,21 @@ class TestAgainstTheEnumeration:
         assert learnable > 0
 
     def test_every_bound_example_on_every_small_map(self):
-        examples = solvable = 0
-        for grid in small_maps():
-            cells = grid.passable_cells()
-            for start, end in product(cells, cells):
-                if start == end:
-                    continue
-                instance = with_endpoints(grid, start, end)
-                problem = problem_from_map(instance)
-                subs = assert_agrees(problem.initial, problem.goal, ActionBackground(instance))
-                examples += 1
-                solvable += bool(subs)
+        """Refutations may step back, so on a map with a cycle ``prove``
+        may find more than the simple derivations: never less."""
+        examples = solvable = equal = 0
+        for instance in small_instances():
+            subs = prove_bound(instance)
+            assert subs == tiles_top_program(instance), instance
+            problem = problem_from_map(instance)
+            simple = prove_by_enumeration(problem.initial, problem.goal, ActionBackground(instance))
+            assert simple <= subs, instance
+            examples += 1
+            solvable += bool(subs)
+            equal += simple == subs
         assert examples == 10_252
-        assert 0 < solvable < examples
+        assert solvable == 7_636
+        assert equal == 4_112
 
     def test_the_128_controller_examples(self, solver_hypothesis):
         behaviours = generate_behaviours(observation_matrices(), solver_hypothesis)
@@ -134,9 +237,32 @@ class TestOnePassPerState:
         assert len(background.calls) == 26
         assert set(background.calls.values()) == {1}
 
+    def test_bound_example_expands_each_reached_state_once(self):
+        grid = with_endpoints(open_floor(5), Coord(0, 0), Coord(4, 4))
+        background = CountingBackground(ActionBackground(grid))
+        assert prove_bound(grid, background) == tiles_top_program(grid)
+        assert len(background.calls) == 25
+        assert set(background.calls.values()) == {1}
+
     @pytest.mark.parametrize("grid", [open_floor(5), generate_maze(51, 51, seed=0),
                                       fixture_map("maze_a"), fixture_map("lake_01")],
                              ids=lambda grid: grid.id)
     def test_learn_on_larger_maps_gives_the_golden_program(self, grid):
         hypothesis = learn([generalized_example(grid.id)], ActionBackground(grid), target="s")
         assert hypothesis.to_text() == SOLVER_TEXT
+
+
+class TestSoundness:
+    def test_learned_programs_replay_on_their_examples(self):
+        """Every atom on a shortest path to the goal is learned, so the
+        planner finds a derivation with the learned program."""
+        learnable = 0
+        for instance in small_instances():
+            if not prove_bound(instance):
+                continue
+            problem = problem_from_map(instance)
+            background = ActionBackground(instance)
+            hypothesis = learn([problem], background, target="s")
+            assert first_derivation(background, hypothesis, problem.initial, problem.goal), instance
+            learnable += 1
+        assert learnable == 7_636
