@@ -15,19 +15,20 @@ step actions of a map, read off its tiles) and ``TupleBackground`` (the
 controller tuples that consume the heads of label streams, read off those
 heads; no tuple universe is built) implement it.
 
-Two engines run over it: ``prove`` collects the metasubstitutions of every
-refutation of an example, for learning; ``first_derivation`` returns the
-first derivation of a program, for planning and behaviour generation.
+Two engines run over it: ``learn`` (``prove`` for one example) collects
+the metasubstitutions of every refutation, for learning; ``first_derivation``
+returns the first derivation of a program, for planning and behaviours.
 
-``prove`` builds the Top program of one example (Patsantzis & Muggleton,
-*Top program construction and reduction for polynomial time
-meta-interpretive learning*, MLJ 2021) without enumerating refutations:
-one pass forward over the states reachable from the initial state, one
-``successors`` call each, and one pass back from the goal over the atoms
-found.  Its cost is linear in the reached atoms, so the solver learns in
-time linear in any map it is given.  ``first_derivation`` never re-enters
-a state on one derivation, so it halts on cyclic maps without a depth
-budget.
+Learning builds the Top program (Patsantzis & Muggleton, *Top program
+construction and reduction for polynomial time meta-interpretive
+learning*, MLJ 2021) without enumerating refutations: one pass forward
+over the states reachable from the initial states, one ``successors``
+call each, and one pass back from the goal over the atoms found.  The Top
+program of several examples is the union of each one's, so ``learn``
+makes one pass per distinct goal: one for the 128 controller examples.
+The cost is linear in the reached atoms, so the solver learns in time
+linear in any map.  ``first_derivation`` never re-enters a state on one
+derivation, so it halts on cyclic maps without a depth budget.
 """
 
 from __future__ import annotations
@@ -268,25 +269,24 @@ class TupleBackground:
             yield t, tails
 
 
-def prove(initial, goal, background) -> frozenset:
-    """Return the metasubstitutions (metarule, body symbol) that the
-    refutations of the goal use: the Top program of one example.  Returns
-    the empty set when the goal is unsatisfiable.
+def _top_program(initials, goal, background) -> tuple[set, set, set]:
+    """The Identity and the Tailrec body symbols of every refutation of the
+    goal from the initial states, and the reached states that have one.
 
-    A refutation may re-enter a state, so its metasubstitutions are read off
-    reachability.  An atom out of a state reached from ``initial`` gives
-    Identity when it enters a state that matches the goal, and Tailrec when
-    it enters a state from which such an atom can be reached.  A forward
-    pass calls ``background.successors`` once per reached state and keeps
-    the atoms into each state; a backward pass over those atoms, from the
-    states that match the goal, collects both sets.  The cost is linear in
-    the reached atoms on every input.
+    A refutation may re-enter a state, so both are read off reachability:
+    a forward pass from every distinct initial state calls
+    ``background.successors`` once per reached state and keeps the atoms
+    into each; a backward pass over those atoms, from the states that match
+    the goal, collects an atom as Identity when it enters such a state and
+    as Tailrec when it enters a state that reaches one.  The cost is linear
+    in the reached atoms.  A state reaches the goal or not by the states
+    reached from it alone, so the result is the union of each initial's.
     """
     successors = background.successors
     # Each reached state's atoms in, as (symbol, source state) pairs; the
     # keys are the reached states.
-    atoms_in = {initial: []}
-    reached = [initial]
+    atoms_in = {initial: [] for initial in initials}
+    reached = list(atoms_in)
     for state in reached:
         for sym, nxt in successors(state):
             into = atoms_in.get(nxt)
@@ -311,6 +311,16 @@ def prove(initial, goal, background) -> frozenset:
             if src not in reaching:
                 reaching.add(src)
                 work.append(src)
+    return identity, tailrec, reaching
+
+
+def prove(initial, goal, background) -> frozenset:
+    """Return the metasubstitutions (metarule, body symbol) that the
+    refutations of the goal use: the Top program of one example, read off
+    one reachability pass.  Returns the empty set when it has none."""
+    identity, tailrec, reaching = _top_program((initial,), goal, background)
+    if initial not in reaching:
+        return frozenset()
     return frozenset([(Metarule.IDENTITY, sym) for sym in identity]
                      + [(Metarule.TAILREC, sym) for sym in tailrec])
 
@@ -325,20 +335,28 @@ def _goal_pair(example):
 def learn(examples, background, *, target: str) -> Hypothesis:
     """Learn a hypothesis covering every example.
 
-    Collects the metasubstitutions of all refutations of each example (its
-    Top program) and instantiates them into clauses.
+    The Top program of the examples is the union of each one's, so each
+    distinct goal costs one reachability pass seeded with all its initial
+    states.  Raises ``UnlearnableError`` naming the first example, in input
+    order, that has no refutation; otherwise instantiates the collected
+    metasubstitutions into clauses.
     """
     examples = list(examples)
     if not examples:
         raise ValueError("at least one example is required")
-    all_subs: set[tuple[Metarule, object]] = set()
-    for example in examples:
-        initial, goal = _goal_pair(example)
-        subs = prove(initial, goal, background)
-        if not subs:
+    pairs = [_goal_pair(example) for example in examples]
+    initials_by_goal: dict = {}
+    for initial, goal in pairs:
+        initials_by_goal.setdefault(goal, []).append(initial)
+    clauses = set()
+    reaching_by_goal = {}
+    for goal, initials in initials_by_goal.items():
+        identity, tailrec, reaching_by_goal[goal] = _top_program(initials, goal, background)
+        clauses.update([DefiniteClause(Metarule.IDENTITY, target, sym) for sym in identity])
+        clauses.update([DefiniteClause(Metarule.TAILREC, target, sym) for sym in tailrec])
+    for example, (initial, goal) in zip(examples, pairs):
+        if initial not in reaching_by_goal[goal]:
             raise UnlearnableError(f"no derivation exists for example {example!r}")
-        all_subs |= subs
-    clauses = {DefiniteClause(rule, target, sym) for rule, sym in all_subs}
     return Hypothesis.of(clauses, target)
 
 

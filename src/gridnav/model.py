@@ -153,8 +153,9 @@ class ActionBackground:
     ``successors(state)`` yields (name, output state) for every step action
     whose input state unifies with the query.  At a bound position these are
     the steps to its passable neighbors, in sorted action-name order; at an
-    UNKNOWN position they are all such steps of the map, in the order of
-    ``instantiate_actions``: by name, then input position.
+    UNKNOWN position they are all such steps of the map out of a cell whose
+    tile unifies, in the order of ``instantiate_actions``: by name, then
+    input position.
 
     Each passable cell's output ``StateTerm`` and ``Coord`` are built on
     first reach and kept in a flat list indexed by ``y * width + x``, so
@@ -172,12 +173,21 @@ class ActionBackground:
         state_map_id, pos, state_tile = state
         if state_map_id != map_id:
             return
-        if pos is UNKNOWN:
-            for a in instantiate_actions(grid):
-                if a.input.matches(state):
-                    yield a.name, a.output
-            return
         width, height, tiles, states = grid.width, grid.height, grid.tiles, self._states
+        if pos is UNKNOWN:
+            cells = [(x, y) for x in range(width) for y in range(height)
+                     if tiles[y][x] in PASSABLE_TILES and (state_tile is UNKNOWN or state_tile == tiles[y][x])]
+            for name, dx, dy in _STEPS:
+                for x, y in cells:
+                    nx, ny = x + dx, y + dy
+                    if 0 <= nx < width and 0 <= ny < height and tiles[ny][nx] in PASSABLE_TILES:
+                        i = ny * width + nx
+                        nxt = states[i]
+                        if nxt is None:
+                            nxt = states[i] = _new_tuple(
+                                StateTerm, (map_id, _new_tuple(Coord, (nx, ny)), tiles[ny][nx]))
+                        yield name, nxt
+            return
         x, y = pos
         if not (0 <= x < width and 0 <= y < height):
             return

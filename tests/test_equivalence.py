@@ -10,7 +10,9 @@ budget runs out, and it never ends ``exhausted`` there: of the small
 instances, 566 reachable and 80 unreachable ones end ``budget_exceeded``.
 On a component without a cycle it ends ``solved`` exactly when the end is
 reachable and ``exhausted`` otherwise.  ``hypothesis`` checks the same on
-random wall-density grids of sides 2 to 16.
+random wall-density grids of sides 2 to 16 and on generated mazes and
+lakes of random sizes and seeds, where the solver's plan on a perfect maze
+is also as long as the BFS distance.
 
 The planner is pinned against a literal reading of the learned program: on
 every small instance the solver's plan is the first SLD refutation of a
@@ -33,7 +35,9 @@ from gridnav import (
     ActionBackground,
     Coord,
     GridMap,
+    MapError,
     Metarule,
+    generate_lake,
     generate_maze,
     problem_from_map,
     run_single,
@@ -196,3 +200,40 @@ class TestRandomGrids:
     def test_agents_solve_exactly_the_reachable_instances(self, solver_hypothesis,
                                                            learned_controller, grid):
         assert violations(grid, solver_hypothesis, learned_controller) == []
+
+
+@st.composite
+def generated_maps(draw):
+    """A maze of odd sides 5 to 31 or a lake of sides 5 to 30, from a drawn
+    seed, with the start and end its generator placed; None when the lake
+    generator gives up on the seed."""
+    seed = draw(st.integers(0, 2**32 - 1), label="seed")
+    if draw(st.booleans(), label="maze"):
+        width = draw(st.integers(2, 15), label="half width") * 2 + 1
+        height = draw(st.integers(2, 15), label="half height") * 2 + 1
+        return generate_maze(width, height, seed)
+    try:
+        return generate_lake(draw(st.integers(5, 30), label="width"),
+                             draw(st.integers(5, 30), label="height"), seed)
+    except MapError as error:
+        assert "lake generation failed" in str(error)
+        return None
+
+
+class TestGeneratedMaps:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(grid=generated_maps())
+    def test_agents_solve_exactly_the_reachable_instances(self, solver_hypothesis,
+                                                           learned_controller, grid):
+        if grid is not None:
+            assert violations(grid, solver_hypothesis, learned_controller) == []
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(half_width=st.integers(2, 15), half_height=st.integers(2, 15),
+           seed=st.integers(0, 2**32 - 1))
+    def test_solver_plan_on_a_perfect_maze_is_a_shortest_path(self, solver_hypothesis,
+                                                                half_width, half_height, seed):
+        grid = generate_maze(half_width * 2 + 1, half_height * 2 + 1, seed)
+        run = run_single("solver", grid, solver=solver_hypothesis)
+        assert run.outcome == SOLVED
+        assert len(run.labels) == bfs_distance(grid, grid.start, grid.end)

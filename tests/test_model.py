@@ -14,13 +14,16 @@ from gridnav import (
     generate_maze,
     instantiate_actions,
     lake_fixture_names,
+    learn_solver,
     parse_map,
     problem_from_map,
     zero_map,
 )
 from gridnav.model import action_name
 
+from test_executors import count_calls
 from test_grid import adjacency_edges, neighbors
+from test_mil import SOLVER_TEXT
 
 # Ground actions of the 2x2 all-floor training map, one line per ordered
 # adjacent pair.
@@ -160,6 +163,23 @@ class TestActionBackground:
             assert list(background.successors(from_start)) == expected
             other = StateTerm("other", UNKNOWN, UNKNOWN)
             assert list(background.successors(other)) == []
+
+    def test_unbound_position_follows_the_listing_through_the_cell_states(self):
+        """An unbound query yields the steps in the order of the action
+        listing, and its output states are the objects bound queries return
+        later."""
+        for grid in [zero_map()] + differential_maps():
+            background = ActionBackground(grid)
+            got = list(background.successors(StateTerm(grid.id, UNKNOWN, UNKNOWN)))
+            assert got == [(a.name, a.output) for a in instantiate_actions(grid)], grid.id
+            later = {nxt.pos: nxt for cell in grid.passable_cells()
+                     for _, nxt in background.successors(StateTerm(grid.id, cell, UNKNOWN))}
+            assert all(nxt is later[nxt.pos] for _, nxt in got), grid.id
+
+    def test_learning_the_solver_builds_no_ground_action(self, monkeypatch):
+        built = count_calls(monkeypatch, GroundAction, "__new__")
+        assert learn_solver().to_text() == SOLVER_TEXT
+        assert built == []
 
 
 class TestProblems:

@@ -3,7 +3,8 @@ These tests hold it to two references written here: the enumeration of
 every simple derivation, which it must equal wherever refutations cannot
 step back (generalized examples and label streams) and contain everywhere,
 and a reading of the Top program off the tiles, which it must equal on
-every bound example."""
+every bound example.  ``learn`` makes one pass per distinct goal over all
+its examples, and must give the union of ``prove``'s answers."""
 
 from __future__ import annotations
 
@@ -24,8 +25,10 @@ from gridnav import (
     GridMap,
     LabelStreams,
     Metarule,
+    StateTerm,
     TupleBackground,
     UNKNOWN,
+    UnlearnableError,
     fixture_map,
     generalized_example,
     generate_maze,
@@ -147,6 +150,37 @@ def prove_bound(grid: GridMap, background=None) -> frozenset:
     return prove(problem.initial, problem.goal, background)
 
 
+def mixed_goal_examples(grid: GridMap) -> list:
+    """(initial, goal) examples over every ordered pair of passable cells,
+    start equal to end included, then from each cell to the unbound goal."""
+    states = [StateTerm(grid.id, cell, grid.tile_at(cell)) for cell in grid.passable_cells()]
+    unbound = StateTerm(grid.id, UNKNOWN, UNKNOWN)
+    return [(a, b) for a in states for b in states] + [(a, unbound) for a in states]
+
+
+def batched_learn_mismatches(examples, background) -> list[str]:
+    """Where one ``learn`` call disagrees with ``prove`` on each example:
+    over the provable examples its clauses must be the union of their Top
+    programs, and over all of them, when some is unprovable, its error must
+    name the first such example in input order."""
+    tops = [prove(initial, goal, background) for initial, goal in examples]
+    provable = [example for example, top in zip(examples, tops) if top]
+    unprovable = [example for example, top in zip(examples, tops) if not top]
+    bad = []
+    if provable:
+        clauses = learn(provable, background, target="t").clauses
+        if {(c.metarule, c.body_symbol) for c in clauses} != frozenset().union(*tops):
+            bad.append("clauses differ from the union of prove's")
+    if unprovable:
+        try:
+            learn(examples, background, target="t")
+            bad.append("learned an unprovable example")
+        except UnlearnableError as error:
+            if str(error) != f"no derivation exists for example {unprovable[0]!r}":
+                bad.append(f"names another example: {error}")
+    return bad
+
+
 def assert_agrees(initial, goal, background):
     expected = prove_by_enumeration(initial, goal, background)
     assert prove(initial, goal, background) == expected, (initial, goal)
@@ -203,6 +237,7 @@ class TestAgainstTheEnumeration:
         background = TupleBackground()
         for initial, goal in examples:
             assert assert_agrees(initial, goal, background)
+        assert batched_learn_mismatches(examples, background) == []
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -224,6 +259,28 @@ class TestAgainstTheEnumeration:
             streams[data.draw(st.integers(0, 3))].pop()
         initial = LabelStreams(*map(tuple, streams))
         assert_agrees(initial, EMPTY_STREAMS, TupleBackground())
+        # A repeated example and one through a state the first reaches.
+        examples = [(initial, EMPTY_STREAMS), (initial.tails(), EMPTY_STREAMS),
+                    (initial, EMPTY_STREAMS)]
+        assert batched_learn_mismatches(examples, TupleBackground()) == []
+
+
+class TestBatchedLearn:
+    def test_mixed_goals_on_every_small_map(self):
+        """One ``learn`` call per map over examples with a bound or an
+        unbound goal, some of them unprovable."""
+        maps = some_provable = some_unprovable = 0
+        for grid in small_maps():
+            if len(grid.passable_cells()) < 2:
+                continue
+            examples = mixed_goal_examples(grid)
+            background = ActionBackground(grid)
+            assert batched_learn_mismatches(examples, background) == [], grid
+            proved = [bool(prove(initial, goal, background)) for initial, goal in examples]
+            maps += 1
+            some_provable += any(proved)
+            some_unprovable += not all(proved)
+        assert (maps, some_provable, some_unprovable) == (637, 560, 343)
 
 
 class TestOnePassPerState:
@@ -243,6 +300,23 @@ class TestOnePassPerState:
         assert prove_bound(grid, background) == tiles_top_program(grid)
         assert len(background.calls) == 25
         assert set(background.calls.values()) == {1}
+
+    def test_learn_makes_one_pass_over_the_128_controller_examples(self, solver_hypothesis):
+        behaviours = generate_behaviours(observation_matrices(), solver_hypothesis)
+        background = CountingBackground(TupleBackground())
+        learn(controller_examples(behaviours), background, target="c")
+        # The 128 initial states, then the empty streams every one reaches.
+        assert sum(background.calls.values()) == 129
+        assert len(background.calls) == 129
+
+    def test_a_repeated_example_makes_one_pass(self):
+        grid = open_floor(5)
+        example = generalized_example(grid.id)
+        once = CountingBackground(ActionBackground(grid))
+        twice = CountingBackground(ActionBackground(grid))
+        assert learn([example, example], twice, target="s") == learn([example], once, target="s")
+        assert twice.calls == once.calls
+        assert set(twice.calls.values()) == {1}
 
     @pytest.mark.parametrize("grid", [open_floor(5), generate_maze(51, 51, seed=0),
                                       fixture_map("maze_a"), fixture_map("lake_01")],
