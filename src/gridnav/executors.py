@@ -169,7 +169,9 @@ def run_backtracking(fsc: FSC, env, cfg: ExecutorConfig) -> ExecutionResult:
     At each state the executor tries the lookup pairs for (q, o) in order;
     a dead end restores the environment to the choice point.  States already
     seen (by checkpoint token) are pruned, so the search visits each
-    environment state at most once and always halts.  Requires an
+    environment state at most once and always halts.  Under SLAM the
+    ``visited`` check never prunes: SLAM vetoes every move into a visited
+    cell, so each accepted move's token is new.  Requires an
     environment with checkpoint support, so it only runs in simulation.
     """
     if not getattr(env, "supports_checkpoint", False):

@@ -13,7 +13,9 @@ every atom whose first argument unifies with the state, in sorted symbol
 order (the order of ``Hypothesis.ordered``).  ``ActionBackground`` (the
 step actions of a map, read off its tiles) and ``TupleBackground`` (the
 controller tuples that consume the heads of label streams, read off those
-heads; no tuple universe is built) implement it.
+heads; no tuple universe is built) implement it.  Label streams are a
+NamedTuple; streams of one label each all have the one shared empty tail,
+``EMPTY_STREAMS``, so expanding a one-tuple example builds no new state.
 
 Two engines run over it: ``learn`` (``prove`` for one example) collects
 the metasubstitutions of every refutation, for learning; ``first_derivation``
@@ -39,7 +41,7 @@ from itertools import product
 from typing import Iterable, NamedTuple, Sequence
 
 from .fsc import ACTION_LABELS, CONTROLLER_STATES, FSC, OBSERVATION_LABELS, FSCError, FSCTuple
-from .model import UNKNOWN, PlanningProblem, unifies
+from .model import UNKNOWN, PlanningProblem, _new_tuple, unifies
 from .record import FrozenRecord
 
 
@@ -171,52 +173,38 @@ class Hypothesis(FrozenRecord):
         return cls.of(clauses, target)
 
 
-class LabelStreams:
+class LabelStreams(NamedTuple):
     """Resolution state for controller learning: four label streams consumed
-    in lockstep, one (q, o, a, q') quadruple per applied tuple.  Treated as
-    immutable: the hash is computed once, on construction."""
+    in lockstep, one (q, o, a, q') quadruple per applied tuple.
 
-    __slots__ = ("q_seq", "o_seq", "a_seq", "q_next_seq", "_hash")
+    A plain NamedTuple, so it hashes and compares in C and equals the plain
+    tuple of its streams (no container mixes the two).  Streams of one
+    label each have the shared ``EMPTY_STREAMS`` as their tails."""
 
-    def __init__(self, q_seq: tuple, o_seq: tuple, a_seq: tuple, q_next_seq: tuple):
-        self.q_seq = q_seq
-        self.o_seq = o_seq
-        self.a_seq = a_seq
-        self.q_next_seq = q_next_seq
-        self._hash = hash((q_seq, o_seq, a_seq, q_next_seq))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not LabelStreams:
-            return NotImplemented
-        return (self._hash == other._hash
-                and self.q_seq == other.q_seq and self.o_seq == other.o_seq
-                and self.a_seq == other.a_seq and self.q_next_seq == other.q_next_seq)
-
-    def __repr__(self) -> str:
-        return (f"LabelStreams(q_seq={self.q_seq!r}, o_seq={self.o_seq!r}, "
-                f"a_seq={self.a_seq!r}, q_next_seq={self.q_next_seq!r})")
+    q_seq: tuple
+    o_seq: tuple
+    a_seq: tuple
+    q_next_seq: tuple
 
     def heads(self) -> tuple | None:
-        q, o, a, q_next = self.q_seq, self.o_seq, self.a_seq, self.q_next_seq
+        q, o, a, q_next = self
         if q and o and a and q_next:
             return q[0], o[0], a[0], q_next[0]
         return None
 
     def tails(self) -> "LabelStreams":
-        return LabelStreams(self.q_seq[1:], self.o_seq[1:], self.a_seq[1:], self.q_next_seq[1:])
+        q, o, a, q_next = self
+        if len(q) <= 1 and len(o) <= 1 and len(a) <= 1 and len(q_next) <= 1:
+            return EMPTY_STREAMS
+        return _new_tuple(LabelStreams, (q[1:], o[1:], a[1:], q_next[1:]))
 
     def matches(self, other: "LabelStreams") -> bool:
-        if (len(self.q_seq) != len(other.q_seq) or len(self.o_seq) != len(other.o_seq)
-                or len(self.a_seq) != len(other.a_seq)
-                or len(self.q_next_seq) != len(other.q_next_seq)):
+        q, o, a, q_next = self
+        q2, o2, a2, q_next2 = other
+        if len(q) != len(q2) or len(o) != len(o2) or len(a) != len(a2) or len(q_next) != len(q_next2):
             return False
-        return (all(map(unifies, self.q_seq, other.q_seq))
-                and all(map(unifies, self.o_seq, other.o_seq))
-                and all(map(unifies, self.a_seq, other.a_seq))
-                and all(map(unifies, self.q_next_seq, other.q_next_seq)))
+        return (all(map(unifies, q, q2)) and all(map(unifies, o, o2))
+                and all(map(unifies, a, a2)) and all(map(unifies, q_next, q_next2)))
 
 
 EMPTY_STREAMS = LabelStreams((), (), (), ())
@@ -231,7 +219,7 @@ def behaviour_goals(behaviour: Sequence[FSCTuple], initial_qs: Iterable[str]) ->
         raise ValueError("behaviour must contain at least one tuple")
     q_seq, o_seq, a_seq, q_next_seq = zip(*behaviour)
     q_rest = q_seq[1:]
-    return [(LabelStreams((q,) + q_rest, o_seq, a_seq, q_next_seq), EMPTY_STREAMS)
+    return [(_new_tuple(LabelStreams, ((q,) + q_rest, o_seq, a_seq, q_next_seq)), EMPTY_STREAMS)
             for q in initial_qs]
 
 
@@ -261,11 +249,11 @@ class TupleBackground:
             return []
 
     def successors(self, state: LabelStreams):
-        heads = state.heads()
-        if heads is None:
+        q, o, a, q_next = state
+        if not (q and o and a and q_next):
             return
         tails = state.tails()
-        for t in self._matching(heads):
+        for t in self._matching((q[0], o[0], a[0], q_next[0])):
             yield t, tails
 
 
@@ -325,13 +313,6 @@ def prove(initial, goal, background) -> frozenset:
                      + [(Metarule.TAILREC, sym) for sym in tailrec])
 
 
-def _goal_pair(example):
-    if isinstance(example, PlanningProblem):
-        return example.initial, example.goal
-    initial, goal = example
-    return initial, goal
-
-
 def learn(examples, background, *, target: str) -> Hypothesis:
     """Learn a hypothesis covering every example.
 
@@ -344,7 +325,8 @@ def learn(examples, background, *, target: str) -> Hypothesis:
     examples = list(examples)
     if not examples:
         raise ValueError("at least one example is required")
-    pairs = [_goal_pair(example) for example in examples]
+    pairs = [(example.initial, example.goal) if isinstance(example, PlanningProblem) else example
+             for example in examples]
     initials_by_goal: dict = {}
     for initial, goal in pairs:
         initials_by_goal.setdefault(goal, []).append(initial)
@@ -352,8 +334,8 @@ def learn(examples, background, *, target: str) -> Hypothesis:
     reaching_by_goal = {}
     for goal, initials in initials_by_goal.items():
         identity, tailrec, reaching_by_goal[goal] = _top_program(initials, goal, background)
-        clauses.update([DefiniteClause(Metarule.IDENTITY, target, sym) for sym in identity])
-        clauses.update([DefiniteClause(Metarule.TAILREC, target, sym) for sym in tailrec])
+        clauses.update([_new_tuple(DefiniteClause, (Metarule.IDENTITY, target, sym)) for sym in identity])
+        clauses.update([_new_tuple(DefiniteClause, (Metarule.TAILREC, target, sym)) for sym in tailrec])
     for example, (initial, goal) in zip(examples, pairs):
         if initial not in reaching_by_goal[goal]:
             raise UnlearnableError(f"no derivation exists for example {example!r}")
@@ -372,42 +354,33 @@ def first_derivation(background, hypothesis: Hypothesis, initial, goal):
     """
     identity_syms, tailrec_syms = hypothesis.symbol_sets
     successors, goal_matches = background.successors, goal.matches
-
-    def expand(state):
-        """(completing step or None, Tailrec step list)."""
+    visited = {initial}
+    steps: list = []  # the steps into the states of the current derivation
+    frames = []  # per state on it, from the initial: its untried Tailrec steps
+    state = initial
+    while state is not None:
         expansions = []
         for step in successors(state):
             sym, nxt = step
             if sym in identity_syms and goal_matches(nxt):
-                return step, expansions
+                steps.append(step)
+                return steps
             if sym in tailrec_syms:
                 expansions.append(step)
-        return None, expansions
-
-    final, cands = expand(initial)
-    if final is not None:
-        return [final]
-    visited = {initial}
-    frames = [[cands, 0]]
-    steps: list = []
-    while frames:
-        cands, idx = frames[-1]
-        if idx < len(cands):
-            frames[-1][1] += 1
-            step = cands[idx]
-            nxt = step[1]
-            if nxt in visited:
-                continue
-            visited.add(nxt)
-            final, nxt_cands = expand(nxt)
-            if final is not None:
-                return steps + [step, final]
-            steps.append(step)
-            frames.append([nxt_cands, 0])
-        else:
-            frames.pop()
-            if steps:
-                steps.pop()
+        frames.append(iter(expansions))
+        # Enter the next unvisited Tailrec step, backtracking past spent frames.
+        state = None
+        while frames and state is None:
+            for step in frames[-1]:
+                if step[1] not in visited:
+                    state = step[1]
+                    visited.add(state)
+                    steps.append(step)
+                    break
+            else:
+                frames.pop()
+                if steps:
+                    steps.pop()
     return None
 
 

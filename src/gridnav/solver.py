@@ -124,7 +124,8 @@ def generate_behaviours(matrices, hypothesis: Hypothesis) -> tuple[tuple[FSCTupl
     for matrix in matrices:
         background = ActionBackground(matrix)
         initial = StateTerm(matrix.id, center, matrix.tile_at(center))
-        for ch, d in zip(observe(matrix, center), DIRECTIONS):
+        label = observe(matrix, center)
+        for ch, d in zip(label, DIRECTIONS):
             if ch != "p":
                 continue
             goal_pos = center.shifted(d)
@@ -136,7 +137,8 @@ def generate_behaviours(matrices, hypothesis: Hypothesis) -> tuple[tuple[FSCTupl
             behaviour = []
             for name, nxt in steps:
                 a = direction_of(name)
-                behaviour.append(FSCTuple(q, observe(matrix, pos), a, STATE_FOR_ACTION[a]))
+                o = label if pos == center else observe(matrix, pos)
+                behaviour.append(FSCTuple(q, o, a, STATE_FOR_ACTION[a]))
                 q, pos = STATE_FOR_ACTION[a], nxt.pos
             behaviours.append(tuple(behaviour))
     return tuple(behaviours)

@@ -17,6 +17,12 @@ is also as long as the BFS distance.
 The planner is pinned against a literal reading of the learned program: on
 every small instance the solver's plan is the first SLD refutation of a
 recursive interpreter.  On perfect mazes fsc-bt's labels equal the solver's.
+
+The model-freedom audit holds for random controllers too: a random subset
+of the 960 well-formed tuples, run by each executor kind with a step budget
+on a random grid, exchanges only labels, flags and tokens with the
+environment.  The one label outside the controller's alphabet that crosses
+is ``uuuu``, observed at a start with no passable neighbour.
 """
 
 from __future__ import annotations
@@ -28,23 +34,33 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gridnav import (
+    BACKTRACKING,
     BUDGET_EXCEEDED,
     DIRECTIONS,
     EXHAUSTED,
+    FSC,
+    REVERSING,
     SOLVED,
     ActionBackground,
+    BasicEnvironment,
     Coord,
+    ExecutorConfig,
     GridMap,
     MapError,
     Metarule,
+    OBSERVATION_LABELS,
+    execute,
     generate_lake,
     generate_maze,
+    playback,
     problem_from_map,
     run_single,
     with_endpoints,
 )
 from gridnav.model import direction_of
 
+from test_executors import SpyEnvironment, assert_only_labels_cross
+from test_fsc import tuple_universe
 from test_grid import connected_component, neighbors
 from test_top_program import small_instances
 
@@ -237,3 +253,33 @@ class TestGeneratedMaps:
         run = run_single("solver", grid, solver=solver_hypothesis)
         assert run.outcome == SOLVED
         assert len(run.labels) == bfs_distance(grid, grid.start, grid.end)
+
+
+WELL_FORMED_TUPLES = sorted(tuple_universe())
+
+
+class TestRandomControllers:
+    """The model-freedom audit for any controller: a random subset of the 960
+    well-formed tuples, run by each executor kind with a step budget on a
+    random wall/floor grid, exchanges only labels, flags and tokens."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(grid=random_instances(), tuple_seed=st.integers(0, 2**32 - 1),
+           share=st.floats(0.0, 1.0), kind=st.sampled_from([BACKTRACKING, REVERSING]),
+           slam=st.booleans(), budget=st.integers(0, 300))
+    def test_only_labels_flags_and_tokens_cross(self, grid, tuple_seed, share, kind, slam, budget):
+        rng = random.Random(tuple_seed)
+        controller = FSC.of(t for t in WELL_FORMED_TUPLES if rng.random() < share)
+        env = SpyEnvironment(BasicEnvironment(grid))
+        result = execute(controller, env, ExecutorConfig(kind, slam=slam, step_budget=budget))
+        observations = OBSERVATION_LABELS
+        if env.exchanged[0] == ("obs", "uuuu"):
+            # A start with no passable neighbour observes uuuu, the one label
+            # outside the alphabet.  No tuple names it, so the run ends there.
+            assert [tag for tag, _ in env.exchanged if tag in ("obs", "action")] == ["obs"]
+            assert result.outcome == EXHAUSTED
+            observations += ("uuuu",)
+        assert_only_labels_cross(env, observations)
+        assert result.outcome in (SOLVED, EXHAUSTED, BUDGET_EXCEEDED)
+        if result.outcome == SOLVED:
+            assert playback(grid, [t.a for t in result.trace])[0]

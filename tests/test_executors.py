@@ -28,6 +28,7 @@ from gridnav import (
     playback,
     run_backtracking,
     run_reversing,
+    with_endpoints,
 )
 
 from gridnav.grid import DELTA, PASSABLE_TILES, Coord
@@ -77,6 +78,22 @@ class SpyEnvironment:
     def restore(self, token):
         self.restore_calls += 1
         self.inner.restore(token)
+
+
+def assert_only_labels_cross(env: SpyEnvironment, observations=OBSERVATION_LABELS) -> None:
+    """Only direction labels, observation labels, bools and int tokens
+    crossed the spy's boundary."""
+    for tag, value in env.exchanged:
+        if tag == "action":
+            assert value in DIRECTIONS
+        elif tag == "obs":
+            assert value in observations
+        elif tag == "at_goal":
+            assert isinstance(value, bool)
+        elif tag == "token":
+            assert isinstance(value, int)
+        else:
+            assert tag == "rejected" and value is None
 
 
 class ReferenceEnvironment:
@@ -251,6 +268,23 @@ class TestBacktracking:
         result = run_backtracking(learned_controller, env, ExecutorConfig(step_budget=3))
         assert result.outcome == BUDGET_EXCEEDED
 
+    def test_slam_never_checkpoints_a_state_twice(self, learned_controller):
+        # SLAM vetoes every move into a visited cell, so each accepted move's
+        # token is new and the visited check never prunes.
+        checkpoints = 0
+        for name in lake_fixture_names():
+            lake = fixture_map(name)
+            rng = random.Random(name)
+            cells = lake.passable_cells()
+            for _ in range(20):
+                start, end = rng.sample(cells, 2)
+                env = SpyEnvironment(BasicEnvironment(with_endpoints(lake, start, end)))
+                run_backtracking(learned_controller, env, ExecutorConfig(slam=True))
+                tokens = [value for tag, value in env.exchanged if tag == "token"]
+                assert len(set(tokens)) == len(tokens) == env.checkpoint_calls, (name, start, end)
+                checkpoints += len(tokens)
+        assert checkpoints > 1000
+
 
 class TestStepBudget:
     def test_negative_budget_rejected(self):
@@ -385,17 +419,7 @@ class TestModelFreedom:
         cfg = ExecutorConfig(kind, slam=slam, step_budget=4900)
         result = execute(learned_controller, env, cfg)
         assert result.outcome == SOLVED
-        for tag, value in env.exchanged:
-            if tag == "action":
-                assert value in DIRECTIONS
-            elif tag == "obs":
-                assert value in OBSERVATION_LABELS
-            elif tag == "at_goal":
-                assert isinstance(value, bool)
-            elif tag == "token":
-                assert isinstance(value, int)
-            else:
-                assert tag == "rejected" and value is None
+        assert_only_labels_cross(env)
 
     def test_reversing_kinds_never_restore(self, learned_controller, maze_a, maze_b):
         for slam in (False, True):

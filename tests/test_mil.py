@@ -20,17 +20,20 @@ from gridnav import (
     UNKNOWN,
     UnlearnableError,
     generalized_example,
+    generate_behaviours,
     hypothesis_to_tuples,
     learn,
     learn_controller,
     learn_solver,
+    observation_matrices,
     parse_map,
     problem_from_map,
     prove,
     zero_map,
 )
-from gridnav.mil import LabelStreams, behaviour_goals, first_derivation
+from gridnav.mil import EMPTY_STREAMS, LabelStreams, behaviour_goals, first_derivation
 from gridnav.model import unifies
+from gridnav.workbench import controller_examples
 
 from test_executors import count_calls
 from test_fsc import tuple_universe
@@ -257,7 +260,17 @@ class TestLabelStreams:
         assert one == two and hash(one) == hash(two)
         assert len({one, two, one.tails(), two.tails()}) == 2
         assert one != one.tails()
-        assert one != (one.q_seq, one.o_seq, one.a_seq, one.q_next_seq)
+        # Widened on purpose, as for FSCTuple: equal to the plain tuple of its
+        # streams, and hashed alike; no container mixes the two.
+        plain = (one.q_seq, one.o_seq, one.a_seq, one.q_next_seq)
+        assert one == plain and hash(one) == hash(plain)
+
+    def test_one_label_streams_share_the_empty_tails(self):
+        assert LabelStreams(("q0",), ("upuu",), ("right",), ("q1",)).tails() is EMPTY_STREAMS
+        assert LabelStreams(("q0",), (), ("right",), ()).tails() is EMPTY_STREAMS
+        assert EMPTY_STREAMS.tails() is EMPTY_STREAMS
+        longer = LabelStreams(("q0",), ("upuu", "pppp"), ("right",), ("q1",))
+        assert longer.tails() == ((), ("pppp",), (), ())
 
     def test_repr_names_the_streams(self):
         assert repr(LabelStreams(("q0",), (), (), ())) == (
@@ -307,6 +320,24 @@ class TestTupleBackground:
             assert all(nxt == tails for _, nxt in got)
             patterns += 1
         assert patterns == 6 * 17 * 6 * 6
+
+    def test_one_label_states_yield_the_shared_empty_tails(self):
+        # Every one-label state: each field UNKNOWN, a label of its alphabet
+        # or a label outside it.  No tail is built per state.
+        fields = [(UNKNOWN, *alphabet, "x")
+                  for alphabet in (CONTROLLER_STATES, OBSERVATION_LABELS, ACTION_LABELS,
+                                   CONTROLLER_STATES)]
+        background = TupleBackground()
+        yielded = 0
+        for heads in product(*fields):
+            for _, nxt in background.successors(LabelStreams(*((h,) for h in heads))):
+                assert nxt is EMPTY_STREAMS, heads
+                yielded += 1
+        # Each tuple unifies with the 2**4 patterns of its labels and UNKNOWN.
+        assert yielded == len(tuple_universe()) * 2 ** 4
+        examples = controller_examples(generate_behaviours(observation_matrices(), learn_solver()))
+        for initial, _ in examples:
+            assert [nxt is EMPTY_STREAMS for _, nxt in background.successors(initial)] == [True]
 
     def test_learning_validates_fewer_tuples_than_the_universe(self, monkeypatch):
         universe_size = len(tuple_universe())
