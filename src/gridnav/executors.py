@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .fsc import FSC, STATE_FOR_ACTION, observe, reverse_pair
-from .grid import DELTA, PASSABLE_TILES, Coord, GridMap
+from .grid import DIRECTIONS, Coord, GridMap
 from .record import FrozenRecord, Record
 from .slam import SlamMap, slam_move, slam_permits, slam_update
 
@@ -37,12 +37,19 @@ class BasicEnvironment:
     Exposes only what crosses the controller boundary: observation labels,
     an at-goal flag, move acceptance, and opaque integer checkpoint tokens.
     The accepted-move trail is kept for reporting and rendering; executors
-    never read it.
+    never read it.  Labels are the 16 p/u strings of ``observe``: the 15 of
+    the controller alphabet, and ``uuuu`` at a start with no passable
+    neighbor, where a controller finds no pair and the run ends
+    ``exhausted`` with no move.
 
-    The position is a flat cell index, ``y * width + x``.  Each cell's
-    ``Coord`` and (observation, at-goal) reply are built on first arrival
-    and kept for the run: re-entering a cell builds nothing and calls no
-    ``observe``.
+    The position is a flat cell index, ``y * width + x``.  A move is legal
+    exactly when the current cell's label reads ``p`` in its direction,
+    and it adds the direction's offset (+width up, +1 right, -width down,
+    -1 left) to the position.  Each cell's label is read from the grid's
+    ``label_cache``, which the map shares with every ``with_endpoints``
+    copy of it, so ``observe`` runs only for a cell that no run on that
+    layout has entered.  Each cell's ``Coord`` and (observation, at-goal)
+    reply are built on first arrival and kept for the run.
     """
 
     supports_checkpoint = True
@@ -51,13 +58,22 @@ class BasicEnvironment:
         self.grid = grid
         start, end = grid.require_endpoints()
         width = grid.width
+        # Each action's place in a label and the offset of its move.
+        self._moves = dict(zip(DIRECTIONS, ((0, width), (1, 1), (2, -width), (3, -1))))
         self._end = end.y * width + end.x
         self._start = self._pos = start.y * width + start.x
         self._trail = [start]
         self._cells = [None] * (width * grid.height)
-        self._cells[self._start] = (start, (observe(grid, start), False))
+        self._cells[self._start] = (start, (self._label(self._start, start), False))
         self._tokens: dict[int, int] = {}
         self._states: list[int] = []
+
+    def _label(self, i: int, coord: Coord) -> str:
+        labels = self.grid.label_cache
+        label = labels[i]
+        if label is None:
+            label = labels[i] = observe(self.grid, coord)
+        return label
 
     def reset(self) -> str:
         """Place the agent on the start tile and return the observation."""
@@ -70,21 +86,18 @@ class BasicEnvironment:
         """Apply an action label.  Returns (observation, at_goal), or None
         when the move hits a wall or the map edge (state unchanged)."""
         try:
-            dx, dy = DELTA[action]
+            k, offset = self._moves[action]
         except (KeyError, TypeError):
             raise ExecutorError(f"unknown action label {action!r}") from None
-        grid, cells = self.grid, self._cells
-        x, y = cells[self._pos][0]
-        x += dx
-        y += dy
-        width = grid.width
-        if not (0 <= x < width and 0 <= y < grid.height and grid.tiles[y][x] in PASSABLE_TILES):
+        cells = self._cells
+        if cells[self._pos][1][0][k] != "p":
             return None
-        i = self._pos = y * width + x
+        i = self._pos = self._pos + offset
         cell = cells[i]
         if cell is None:
+            y, x = divmod(i, self.grid.width)
             coord = tuple.__new__(Coord, (x, y))
-            cell = cells[i] = (coord, (observe(grid, coord), i == self._end))
+            cell = cells[i] = (coord, (self._label(i, coord), i == self._end))
         self._trail.append(cell[0])
         return cell[1]
 
@@ -169,10 +182,10 @@ def run_backtracking(fsc: FSC, env, cfg: ExecutorConfig) -> ExecutionResult:
     At each state the executor tries the lookup pairs for (q, o) in order;
     a dead end restores the environment to the choice point.  States already
     seen (by checkpoint token) are pruned, so the search visits each
-    environment state at most once and always halts.  Under SLAM the
-    ``visited`` check never prunes: SLAM vetoes every move into a visited
-    cell, so each accepted move's token is new.  Requires an
-    environment with checkpoint support, so it only runs in simulation.
+    environment state at most once and always halts.  Under SLAM no
+    ``visited`` set is kept: SLAM vetoes every move into a visited cell, so
+    each accepted move's token is new.  Requires an environment with
+    checkpoint support, so it only runs in simulation.
     """
     if not getattr(env, "supports_checkpoint", False):
         raise ExecutorError("backtracking executor needs checkpoint/restore support")
@@ -183,7 +196,7 @@ def run_backtracking(fsc: FSC, env, cfg: ExecutorConfig) -> ExecutionResult:
     if slam is not None:
         slam_update(slam, obs)
     at = checkpoint()  # the environment's state: restoring it is a no-op
-    visited = {at}
+    visited = {at} if slam is None else None
 
     def kept_trace(frames) -> tuple[TraceStep, ...]:
         """A TraceStep of the pair last tried at each frame."""
@@ -223,9 +236,10 @@ def run_backtracking(fsc: FSC, env, cfg: ExecutorConfig) -> ExecutionResult:
             trace = kept_trace(stack)
             return ExecutionResult(SOLVED, len(trace), trace, getattr(env, "trail", ()), slam)
         at = checkpoint()
-        if at in visited:
-            continue
-        visited.add(at)
+        if visited is not None:
+            if at in visited:
+                continue
+            visited.add(at)
         stack.append([q_next, obs2, at, slam.pose if slam is not None else None,
                       lookup(q_next, obs2), 0])
     return ExecutionResult(EXHAUSTED, 0, (), getattr(env, "trail", ()), slam)
@@ -267,7 +281,7 @@ def run_reversing(fsc: FSC, env, cfg: ExecutorConfig) -> ExecutionResult:
         if slam is not None:
             slam_move(slam, a)
             slam_update(slam, obs2)
-        trace.append(TraceStep(q, obs, a, q_next, not forward))
+        trace.append(tuple.__new__(TraceStep, (q, obs, a, q_next, not forward)))
         q, obs = q_next, obs2
         if at_goal:
             return ExecutionResult(

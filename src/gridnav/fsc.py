@@ -17,9 +17,13 @@ from .record import FrozenRecord
 
 CONTROLLER_STATES = ("q0", "q1", "q2", "q3")
 ACTION_LABELS = DIRECTIONS
-OBSERVATION_LABELS = tuple(
-    "".join(chars) for chars in product("pu", repeat=4) if "".join(chars) != "uuuu"
-)
+# Every p/u label, indexed by its blocked directions: 8 for up, 4 right,
+# 2 down, 1 left.  ``observe`` returns these strings, so every observation
+# of one label is the one shared string.  All 16 can cross the controller
+# boundary; ``uuuu`` (a cell with no passable neighbour) is the last, and
+# the 15 others are the controller's observation alphabet.
+_LABELS = tuple("".join(chars) for chars in product("pu", repeat=4))
+OBSERVATION_LABELS = _LABELS[:-1]
 
 # Controller state reached after taking each action ("last action" indexing).
 STATE_FOR_ACTION = dict(zip(ACTION_LABELS, CONTROLLER_STATES))
@@ -36,7 +40,8 @@ class FSCError(ValueError):
 def observe(grid: GridMap, pos: Coord) -> str:
     """Observation label at ``pos``: one character per direction (up, right,
     down, left), ``p`` if that neighbor is passable and ``u`` otherwise.
-    Off-map neighbors read as unpassable."""
+    Off-map neighbors read as unpassable.  A cell with no passable neighbor
+    observes ``uuuu``, which is in no controller's alphabet."""
     x, y = pos
     width, height, tiles = grid.width, grid.height, grid.tiles
     if not (0 <= x < width and 0 <= y < height):
@@ -45,12 +50,12 @@ def observe(grid: GridMap, pos: Coord) -> str:
     if row[x] not in PASSABLE_TILES:
         raise MapError(f"map {grid.id!r}: observation position {pos!r} is unpassable")
     # Neighbors in DIRECTIONS order: up (y + 1), right, down (y - 1), left.
-    return (
-        ("p" if y + 1 < height and tiles[y + 1][x] in PASSABLE_TILES else "u")
-        + ("p" if x + 1 < width and row[x + 1] in PASSABLE_TILES else "u")
-        + ("p" if y > 0 and tiles[y - 1][x] in PASSABLE_TILES else "u")
-        + ("p" if x > 0 and row[x - 1] in PASSABLE_TILES else "u")
-    )
+    return _LABELS[
+        (0 if y + 1 < height and tiles[y + 1][x] in PASSABLE_TILES else 8)
+        + (0 if x + 1 < width and row[x + 1] in PASSABLE_TILES else 4)
+        + (0 if y > 0 and tiles[y - 1][x] in PASSABLE_TILES else 2)
+        + (0 if x > 0 and row[x - 1] in PASSABLE_TILES else 1)
+    ]
 
 
 _Labels = NamedTuple("_Labels", [("q", str), ("o", str), ("a", str), ("q_next", str)])

@@ -55,9 +55,18 @@ class GridMap(FrozenRecord):
     one end tile; bare training grids may carry neither.  ``start`` and
     ``end`` are always read off the tiles; the arguments of those names are
     ignored.
+
+    ``label_cache`` is the map's table of observation labels, one slot per
+    cell ``y * width + x``, empty until an environment fills it.  It belongs
+    to the passability layout: ``with_endpoints`` only moves the start and
+    end among passable cells, so its copies share their source's table.  A
+    map built any other way (constructed, parsed, generated, pickled or
+    copied) starts with a table of its own.  The table is not a field:
+    equality, hashing, the repr and pickling ignore it.
     """
 
-    __slots__ = _fields = ("id", "width", "height", "tiles", "start", "end")
+    __slots__ = ("id", "width", "height", "tiles", "start", "end", "label_cache")
+    _fields = ("id", "width", "height", "tiles", "start", "end")
 
     def __init__(self, id: str, width: int, height: int, tiles: tuple[tuple[str, ...], ...],
                  start: Coord | None = None, end: Coord | None = None) -> None:
@@ -85,6 +94,7 @@ class GridMap(FrozenRecord):
         set_field(self, "tiles", tiles)
         set_field(self, "start", Coord(start % width, start // width) if start >= 0 else None)
         set_field(self, "end", Coord(end % width, end // width) if end >= 0 else None)
+        set_field(self, "label_cache", [None] * (width * height))
 
     @classmethod
     def from_rows(cls, map_id: str, rows_top_first: Sequence[str]) -> "GridMap":
@@ -161,7 +171,8 @@ def serialize_map(grid: GridMap) -> str:
 
 
 def with_endpoints(grid: GridMap, start: Coord, end: Coord) -> GridMap:
-    """Copy of ``grid`` with start/end moved to the given passable cells."""
+    """Copy of ``grid`` with start/end moved to the given passable cells.
+    The copy shares ``grid``'s label cache: no cell's label changes."""
     if start == end:
         raise MapError("start and end must be distinct")
     rows = list(grid.tiles)  # only rows whose tiles change are copied
@@ -172,7 +183,9 @@ def with_endpoints(grid: GridMap, start: Coord, end: Coord) -> GridMap:
             raise MapError(f"cannot place {kind!r} on unpassable cell {c!r}")
         row = rows[c.y] = list(rows[c.y])
         row[c.x] = kind
-    return GridMap(grid.id, grid.width, grid.height, tuple(map(tuple, rows)))
+    moved = GridMap(grid.id, grid.width, grid.height, tuple(map(tuple, rows)))
+    object.__setattr__(moved, "label_cache", grid.label_cache)
+    return moved
 
 
 def _place_endpoints(rows: list[list[str]], map_id: str, width: int, height: int,

@@ -16,6 +16,9 @@ controller tuples that consume the heads of label streams, read off those
 heads; no tuple universe is built) implement it.  Label streams are a
 NamedTuple; streams of one label each all have the one shared empty tail,
 ``EMPTY_STREAMS``, so expanding a one-tuple example builds no new state.
+A background may also define ``matches_only_equals(goal)``, true when the
+goal matches exactly its equals among the background's states;
+``ActionBackground`` does, for goals with no UNKNOWN field.
 
 Two engines run over it: ``learn`` (``prove`` for one example) collects
 the metasubstitutions of every refutation, for learning; ``first_derivation``
@@ -37,7 +40,9 @@ from __future__ import annotations
 
 import re
 from enum import Enum
+from functools import partial
 from itertools import product
+from operator import eq
 from typing import Iterable, NamedTuple, Sequence
 
 from .fsc import ACTION_LABELS, CONTROLLER_STATES, FSC, OBSERVATION_LABELS, FSCError, FSCTuple
@@ -351,9 +356,17 @@ def first_derivation(background, hypothesis: Hypothesis, initial, goal):
     hypothesis's canonical clause order).  Visited states are never
     re-entered, so cyclic maps terminate.  Returns the (symbol, next state)
     steps of the first derivation found, chained from ``initial``, or None.
+
+    A goal for which the background's ``matches_only_equals`` holds is
+    tested with ``==``; any other goal with ``goal.matches``.
     """
     identity_syms, tailrec_syms = hypothesis.symbol_sets
-    successors, goal_matches = background.successors, goal.matches
+    successors = background.successors
+    only_equals = getattr(background, "matches_only_equals", None)
+    if only_equals is not None and only_equals(goal):
+        goal_matches = partial(eq, goal)
+    else:
+        goal_matches = goal.matches
     visited = {initial}
     steps: list = []  # the steps into the states of the current derivation
     frames = []  # per state on it, from the initial: its untried Tailrec steps

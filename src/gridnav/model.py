@@ -167,6 +167,13 @@ class ActionBackground:
         self.grid = grid
         self._states: list[StateTerm | None] = [None] * (grid.width * grid.height)
 
+    @staticmethod
+    def matches_only_equals(goal: StateTerm) -> bool:
+        """Whether the goal matches exactly its equals among the states this
+        background yields: they are all ground, and a state term holds
+        UNKNOWN only as a field, so a goal with no UNKNOWN field does."""
+        return UNKNOWN not in goal
+
     def successors(self, state: StateTerm):
         grid = self.grid
         map_id = grid.id

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import gridnav.executors as executors
+import gridnav.fsc as fsc
 from gridnav import (
     BACKTRACKING,
     BUDGET_EXCEEDED,
@@ -231,6 +232,106 @@ class TestBasicEnvironment:
             BasicEnvironment(zero_map())
 
 
+def endpoint_copies(grid, count, seed):
+    """``count`` copies of ``grid`` with seeded random endpoints."""
+    rng = random.Random(seed)
+    cells = sorted(grid.passable_cells())
+    return [with_endpoints(grid, *rng.sample(cells, 2)) for _ in range(count)]
+
+
+def shared_cache_sources():
+    """The five lake fixtures and two perfect mazes."""
+    return ([fixture_map(name) for name in lake_fixture_names()]
+            + [generate_maze(21, 21, seed) for seed in range(2)])
+
+
+def explore(env, ref, order, limit=None):
+    """Depth-first over every move out of each state the environment
+    reaches, through step, checkpoint and restore, each checked against the
+    reference; stops after ``limit`` accepted moves."""
+    token = env.checkpoint()
+    assert token == ref.checkpoint()
+    stack, seen, moves = [token], {token}, 0
+    while stack and (limit is None or moves < limit):
+        token = stack.pop()
+        for a in order:
+            env.restore(token)
+            ref.restore(token)
+            reply = env.step(a)
+            assert reply == ref.step(a), a
+            if reply is None:
+                continue
+            moves += 1
+            reached = env.checkpoint()
+            assert reached == ref.checkpoint()
+            if reached not in seen:
+                seen.add(reached)
+                stack.append(reached)
+    assert env.trail == ref.trail
+
+
+class TestSharedLabelCache:
+    @pytest.mark.parametrize("source", shared_cache_sources(), ids=lambda g: g.id)
+    def test_cached_labels_equal_fresh_observations_whichever_copy_filled_them(self, source):
+        """Endpoint copies that share one cache, explored in turn (all but
+        the last only part way), give the reference's replies; every label
+        in the cache, filled by whichever copy entered its cell first, is a
+        fresh ``observe`` on the source and on every copy."""
+        cache = source.label_cache
+        filled_by = {}
+        copies = endpoint_copies(source, 6, source.id)
+        rng = random.Random(source.id)
+        for n, grid in enumerate(copies):
+            assert grid.label_cache is cache
+            order = rng.sample(DIRECTIONS, 4)
+            limit = None if n == len(copies) - 1 else 40
+            explore(BasicEnvironment(grid), ReferenceEnvironment(grid), order, limit)
+            for i, label in enumerate(cache):
+                if label is not None:
+                    filled_by.setdefault(i, n)
+        width = source.width
+        passable = {c.y * width + c.x for c in source.passable_cells()}
+        assert set(filled_by) == passable
+        assert len(set(filled_by.values())) > 3
+        for i in passable:
+            cell = Coord(i % width, i // width)
+            assert {observe(g, cell) for g in (source, *copies)} == {cache[i]}
+            # One shared string per label.
+            assert cache[i] is fsc._LABELS[fsc._LABELS.index(cache[i])]
+
+    def test_a_copy_observes_only_cells_no_run_on_its_layout_entered(
+            self, monkeypatch, learned_controller):
+        observed = count_calls(monkeypatch, executors, "observe")
+        lake = fixture_map("lake_02")
+        first = run_backtracking(learned_controller, BasicEnvironment(lake), ExecutorConfig())
+        assert {pos for _, pos in observed} == set(first.path)
+        assert len(observed) == len(set(first.path))
+        entered = set(first.path)
+        for grid in endpoint_copies(lake, 4, "lake_02"):
+            observed.clear()
+            run = run_backtracking(learned_controller, BasicEnvironment(grid), ExecutorConfig())
+            new = set(run.path) - entered
+            assert {pos for _, pos in observed} == new
+            assert len(observed) == len(new)
+            entered |= new
+        observed.clear()
+        run_backtracking(learned_controller, BasicEnvironment(lake), ExecutorConfig())
+        assert observed == []
+
+    @pytest.mark.parametrize("kind, slam", [(BACKTRACKING, False), (BACKTRACKING, True),
+                                            (REVERSING, False), (REVERSING, True)])
+    def test_isolated_start_observes_uuuu_and_ends_exhausted_with_no_move(
+            self, learned_controller, kind, slam):
+        grid = parse_map("swe\n", "isolated")
+        env = SpyEnvironment(BasicEnvironment(grid))
+        result = execute(learned_controller, env, ExecutorConfig(kind, slam=slam))
+        assert env.exchanged[0] == ("obs", "uuuu")
+        assert [tag for tag, _ in env.exchanged if tag in ("obs", "action")] == ["obs"]
+        assert (result.outcome, result.steps, result.trace) == (EXHAUSTED, 0, ())
+        assert env.trail == (grid.start,)
+        assert grid.label_cache[0] == "uuuu" and grid.label_cache[2] is None
+
+
 class TestBacktracking:
     def test_solves_maze_a_with_its_controller(self, controller_a, maze_a):
         result = run_backtracking(controller_a, BasicEnvironment(maze_a), ExecutorConfig())
@@ -290,6 +391,10 @@ class TestStepBudget:
     def test_negative_budget_rejected(self):
         with pytest.raises(ExecutorError, match="non-negative"):
             ExecutorConfig(step_budget=-3)
+
+    def test_budget_of_minus_one_rejected(self):
+        with pytest.raises(ExecutorError, match="non-negative, got -1"):
+            ExecutorConfig(step_budget=-1)
 
     @pytest.mark.parametrize("kind", [BACKTRACKING, REVERSING])
     def test_zero_budget_is_valid_and_keeps_no_step(self, learned_controller, maze_a, kind):

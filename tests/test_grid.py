@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import hashlib
+import pickle
 
 import pytest
 
@@ -13,6 +15,7 @@ from gridnav import (
     generate_lake,
     generate_maze,
     lake_fixture_names,
+    observe,
     parse_map,
     render_map,
     serialize_map,
@@ -191,6 +194,57 @@ class TestGridMapInvariants:
         grid = parse_map("sw\nfe", "tiny")
         with pytest.raises(MapError):
             with_endpoints(grid, Coord(1, 1), Coord(0, 0))
+
+
+def filled_lake():
+    """A fresh lake fixture whose label cache holds every passable cell's
+    label."""
+    lake = fixture_map("lake_01")
+    for c in lake.passable_cells():
+        lake.label_cache[c.y * lake.width + c.x] = observe(lake, c)
+    return lake
+
+
+class TestLabelCache:
+    def test_endpoint_copies_and_their_copies_share_the_cache(self):
+        lake = fixture_map("lake_01")
+        a, b, c = sorted(lake.passable_cells())[:3]
+        copy_ = with_endpoints(lake, a, b)
+        assert copy_.label_cache is lake.label_cache
+        assert with_endpoints(copy_, b, c).label_cache is lake.label_cache
+
+    def test_maps_built_any_other_way_have_a_fresh_cache(self):
+        lake = filled_lake()
+        rows = serialize_map(lake).splitlines()
+        others = [
+            parse_map(serialize_map(lake), lake.id),
+            GridMap.from_rows(lake.id, rows),
+            GridMap(lake.id, lake.width, lake.height, lake.tiles),
+            fixture_map("lake_01"),
+            generate_maze(21, 21, seed=0),
+            generate_lake(20, 20, seed=0),
+            pickle.loads(pickle.dumps(lake)),
+            copy.copy(lake),
+            copy.deepcopy(lake),
+        ]
+        for other in others:
+            assert other.label_cache is not lake.label_cache
+            assert other.label_cache == [None] * (other.width * other.height)
+
+    def test_equality_hash_repr_and_pickling_ignore_the_cache(self):
+        lake, twin = filled_lake(), fixture_map("lake_01")
+        assert lake.label_cache != twin.label_cache
+        assert lake == twin and hash(lake) == hash(twin) and repr(lake) == repr(twin)
+        assert "label_cache" not in repr(lake)
+        assert pickle.loads(pickle.dumps(lake)) == lake
+        assert lake.__reduce__() == twin.__reduce__()
+        moved = with_endpoints(lake, lake.end, lake.start)
+        assert moved != lake and moved.label_cache is lake.label_cache
+
+    def test_cache_is_not_assignable(self):
+        lake = fixture_map("lake_01")
+        with pytest.raises(AttributeError):
+            lake.label_cache = []
 
 
 class TestMazeGenerator:

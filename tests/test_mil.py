@@ -10,6 +10,7 @@ from gridnav import (
     CONTROLLER_STATES,
     DIRECTIONS,
     ActionBackground,
+    Coord,
     DefiniteClause,
     FSC,
     FSCTuple,
@@ -32,7 +33,7 @@ from gridnav import (
     zero_map,
 )
 from gridnav.mil import EMPTY_STREAMS, LabelStreams, behaviour_goals, first_derivation
-from gridnav.model import unifies
+from gridnav.model import StateTerm, direction_of, unifies
 from gridnav.workbench import controller_examples
 
 from test_executors import count_calls
@@ -209,6 +210,83 @@ class TestFirstDerivationSteps:
         steps = first_derivation(background, program, initial, goal)
         assert [sym for sym, _ in steps] == behaviour
         assert_chained_steps(background, steps, initial, goal)
+
+
+class MatchingBackground:
+    """A map's step actions without ``matches_only_equals``, so
+    ``first_derivation`` tests every goal with ``goal.matches``."""
+
+    def __init__(self, grid):
+        self.successors = ActionBackground(grid).successors
+
+
+def goal_terms(grid):
+    """Goals at every passable cell with every passable tile kind, then
+    goals leaving the tile or the position unbound."""
+    cells = grid.passable_cells()
+    ground = [StateTerm(grid.id, pos, tile) for pos in cells for tile in "fse"]
+    unbound = ([StateTerm(grid.id, pos, UNKNOWN) for pos in cells]
+               + [StateTerm(grid.id, UNKNOWN, tile) for tile in "fse"])
+    return ground, unbound
+
+
+class TestFirstDerivationGoalTest:
+    def test_equality_and_matches_give_the_same_derivation(self, monkeypatch, solver_hypothesis):
+        """Over every 3x2 map and its endpoint copies, from every passable
+        cell: ground goals are tested by equality, never by ``matches``,
+        and give the derivation ``matches`` gives; unbound goals keep
+        ``matches``."""
+        from test_top_program import bound_instances, maps_of  # it imports this module
+
+        matched = count_calls(monkeypatch, StateTerm, "matches")
+        found = {True: 0, False: 0}
+        unbound_matches = 0
+        grids = list(maps_of(3, 2))
+        grids += [g for grid in grids[::7] for g in bound_instances([grid])]
+        for grid in grids:
+            ground, unbound = goal_terms(grid)
+            for pos in grid.passable_cells():
+                initial = StateTerm(grid.id, pos, grid.tile_at(pos))
+                for goal in ground + unbound:
+                    matched.clear()
+                    steps = first_derivation(ActionBackground(grid), solver_hypothesis,
+                                             initial, goal)
+                    if goal in unbound:
+                        unbound_matches += len(matched)
+                    else:
+                        assert matched == [], goal
+                    reference = first_derivation(MatchingBackground(grid), solver_hypothesis,
+                                                 initial, goal)
+                    assert steps == reference, (grid, initial, goal)
+                    found[steps is not None] += 1
+        assert found[True] > 1000 and found[False] > 1000 and unbound_matches > 1000
+
+    def test_unknown_nested_in_label_streams_keeps_matches(self):
+        """A top-level ``UNKNOWN in goal`` test cannot see an UNKNOWN label
+        inside label streams; over the tuple background such a goal still
+        matches the ground streams it unifies with."""
+        ground = FSCTuple("q0", "pppp", "up", "q1")
+        initial = LabelStreams(("q0", "q1"), ("pppp", "pppp"), ("up", "up"), ("q1", "q1"))
+        goal = LabelStreams(("q1",), (UNKNOWN,), ("up",), ("q1",))
+        assert UNKNOWN not in goal
+        hypothesis = Hypothesis.of([DefiniteClause(Metarule.IDENTITY, "c", ground)], "c")
+        steps = first_derivation(TupleBackground(), hypothesis, initial, goal)
+        assert steps == [(ground, initial.tails())]
+
+    @pytest.mark.parametrize("tailrec, labels", [
+        (("step_up",), ("up", "right")),
+        (("step_right",), ("right", "up")),
+        (("step_down", "step_left"), None),
+    ])
+    def test_only_tailrec_symbols_expand(self, tailrec, labels):
+        """Tailrec clauses for a strict subset of the map's actions expand
+        only those actions."""
+        clauses = ([DefiniteClause(Metarule.IDENTITY, "s", sym) for sym in ("step_right", "step_up")]
+                   + [DefiniteClause(Metarule.TAILREC, "s", sym) for sym in tailrec])
+        initial = StateTerm("zero", Coord(0, 0), "f")
+        goal = StateTerm("zero", Coord(1, 1), "f")
+        steps = first_derivation(zero_background(), Hypothesis.of(clauses, "s"), initial, goal)
+        assert (None if steps is None else tuple(direction_of(n) for n, _ in steps)) == labels
 
 
 class TestHypothesisText:

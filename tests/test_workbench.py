@@ -42,6 +42,10 @@ MAZE_A_CONTROLLER = str(Path(__file__).resolve().parent.parent / "src/gridnav/co
 # action listing, a plan, an executor run or a desk lake row shows here.
 PIPELINE_DIGEST = "9d76330b932af0e1066d87d7450e25f615e544d7901f371923c4ad03c792f9e9"
 
+# sha256 of the per-instance CSVs of the five desk maze rows at seed 0, in
+# AGENTS order.  tests/full_rows.py pins the --full rows.
+DESK_MAZE_ROWS_DIGEST = "21e8f20de8ad91c590147496ff4e5f64bb2cb5324bf44eca65cc35143ead3752"
+
 
 def run_cli(*args, cwd=None):
     return subprocess.run(
@@ -79,6 +83,14 @@ class TestExperiments:
         for name, grid in experiment_instances(spec):
             h.update(f"{name}\n{serialize_map(grid)}".encode())
         assert h.hexdigest() == digest
+
+    def test_seed_zero_desk_maze_rows_are_pinned(self, solver_hypothesis, learned_controller):
+        h = hashlib.sha256()
+        for agent in AGENTS:
+            report = run_experiment(ExperimentSpec.desk_maze(agent), solver=solver_hypothesis,
+                                    controller=learned_controller)
+            h.update(report.to_csv().encode())
+        assert h.hexdigest() == DESK_MAZE_ROWS_DIGEST
 
     @pytest.mark.parametrize("spec, message", [
         (ExperimentSpec("nobody", "maze", 11, 11, 2), "unknown agent 'nobody'"),
