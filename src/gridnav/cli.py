@@ -122,7 +122,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate a map and write it as text")
+    p = sub.add_parser(
+        "gen", help="generate a map and write it as text",
+        description="Generate a map and write it as text.  A lake on a thin map (a side "
+                    "near 5) may fail for some seeds, with an error and exit status 2.")
     p.add_argument("kind", choices=("maze", "lake"))
     p.add_argument("width", type=int)
     p.add_argument("height", type=int)

@@ -91,6 +91,21 @@ class FSCTuple(_Labels):
         return "%s,%s,%s,%s" % self
 
 
+# Each validated tuple, keyed by the plain tuple of its labels (equal and
+# hashing alike): at most 4 * 15 * 4 * 4 = 960 entries.  Malformed labels
+# raise in ``FSCTuple`` before anything is stored.
+_INTERNED: dict[tuple, FSCTuple] = {}
+
+
+def interned(q: str, o: str, a: str, q_next: str) -> FSCTuple:
+    """The one shared ``FSCTuple`` of these labels, validated on first use."""
+    labels = (q, o, a, q_next)
+    t = _INTERNED.get(labels)
+    if t is None:
+        t = _INTERNED[labels] = FSCTuple(q, o, a, q_next)
+    return t
+
+
 class FSC(FrozenRecord):
     """A set of controller tuples; nondeterministic when some (q, o) pair
     admits more than one (a, q') choice."""

@@ -172,7 +172,11 @@ def serialize_map(grid: GridMap) -> str:
 
 def with_endpoints(grid: GridMap, start: Coord, end: Coord) -> GridMap:
     """Copy of ``grid`` with start/end moved to the given passable cells.
-    The copy shares ``grid``'s label cache: no cell's label changes."""
+    The copy shares ``grid``'s label cache: no cell's label changes.
+
+    The source's tiles are valid and only passable cells are rewritten, to
+    passable kinds, so the copy is built without re-validating its tiles:
+    it has one start and one end, at ``start`` and ``end``."""
     if start == end:
         raise MapError("start and end must be distinct")
     rows = list(grid.tiles)  # only rows whose tiles change are copied
@@ -183,8 +187,15 @@ def with_endpoints(grid: GridMap, start: Coord, end: Coord) -> GridMap:
             raise MapError(f"cannot place {kind!r} on unpassable cell {c!r}")
         row = rows[c.y] = list(rows[c.y])
         row[c.x] = kind
-    moved = GridMap(grid.id, grid.width, grid.height, tuple(map(tuple, rows)))
-    object.__setattr__(moved, "label_cache", grid.label_cache)
+    moved = object.__new__(GridMap)
+    set_field = object.__setattr__
+    set_field(moved, "id", grid.id)
+    set_field(moved, "width", grid.width)
+    set_field(moved, "height", grid.height)
+    set_field(moved, "tiles", tuple(map(tuple, rows)))
+    set_field(moved, "start", Coord(start.x, start.y))
+    set_field(moved, "end", Coord(end.x, end.y))
+    set_field(moved, "label_cache", grid.label_cache)
     return moved
 
 
@@ -247,6 +258,10 @@ def generate_lake(width: int, height: int, seed: int) -> GridMap:
     Uses seeded cellular-automaton smoothing over a random fill, keeps the
     largest passable component, and retries with derived seeds until the
     region is large enough.  Deterministic for a given (width, height, seed).
+
+    Raises ``MapError`` when no try gives a large enough region, which can
+    happen on thin maps: ``generate_lake(7, 5, 430051420)`` and
+    ``generate_lake(25, 5, 4198417077)`` do.
     """
     if width < 5 or height < 5:
         raise MapError(f"lake dimensions must be at least 5x5, got {width}x{height}")

@@ -8,17 +8,21 @@ first-order program.
 
 A background is a set of dyadic ground atoms ``symbol(state, next)``, given
 as any object with one method over hashable states that have
-``matches(goal)``: ``successors(state)`` yields (symbol, next state) for
-every atom whose first argument unifies with the state, in sorted symbol
-order (the order of ``Hypothesis.ordered``).  ``ActionBackground`` (the
-step actions of a map, read off its tiles) and ``TupleBackground`` (the
-controller tuples that consume the heads of label streams, read off those
-heads; no tuple universe is built) implement it.  Label streams are a
-NamedTuple; streams of one label each all have the one shared empty tail,
-``EMPTY_STREAMS``, so expanding a one-tuple example builds no new state.
+``matches(goal)``: ``successors(state)`` returns an iterable of (symbol,
+next state), one for every atom whose first argument unifies with the
+state, in sorted symbol order (the order of ``Hypothesis.ordered``).
+``ActionBackground`` (the step actions of a map, read off its tiles) and
+``TupleBackground`` (the controller tuples that consume the heads of label
+streams, read off those heads; no tuple universe is built) implement it.
+Label streams are a NamedTuple; streams of one label each all have the one
+shared empty tail, ``EMPTY_STREAMS``, so expanding a one-tuple example
+builds no new state, and its tuple is the shared one of ``fsc.interned``.
 A background may also define ``matches_only_equals(goal)``, true when the
-goal matches exactly its equals among the background's states;
-``ActionBackground`` does, for goals with no UNKNOWN field.
+goal matches exactly its equals among the background's states:
+``ActionBackground`` does for goals with no UNKNOWN field, and
+``TupleBackground`` for ``EMPTY_STREAMS``.  Both engines then find the goal
+by equality: ``first_derivation`` tests states with ``==`` and learning
+reads the goal's atoms with one dict lookup.
 
 Two engines run over it: ``learn`` (``prove`` for one example) collects
 the metasubstitutions of every refutation, for learning; ``first_derivation``
@@ -45,7 +49,8 @@ from itertools import product
 from operator import eq
 from typing import Iterable, NamedTuple, Sequence
 
-from .fsc import ACTION_LABELS, CONTROLLER_STATES, FSC, OBSERVATION_LABELS, FSCError, FSCTuple
+from .fsc import (ACTION_LABELS, CONTROLLER_STATES, FSC, OBSERVATION_LABELS, FSCError, FSCTuple,
+                  _INTERNED, interned)
 from .model import UNKNOWN, PlanningProblem, _new_tuple, unifies
 from .record import FrozenRecord
 
@@ -234,32 +239,54 @@ class TupleBackground:
 
     The matching tuples are read off the heads, so no tuple universe is
     built: ground heads name at most one tuple, and an UNKNOWN head ranges
-    over its field's alphabet."""
+    over its field's alphabet.  Tuples are the shared ones of
+    ``fsc.interned``, so heads seen before are not validated again."""
 
     def __init__(self):
         self._alphabets = (CONTROLLER_STATES, OBSERVATION_LABELS, ACTION_LABELS, CONTROLLER_STATES)
+
+    @staticmethod
+    def matches_only_equals(goal: LabelStreams) -> bool:
+        """Whether the goal matches exactly its equals among the states this
+        background yields: the tails it yields may hold UNKNOWN labels, so
+        only the goal of all-empty streams does."""
+        return goal == EMPTY_STREAMS
 
     def _matching(self, heads: tuple) -> list[FSCTuple]:
         """Every well-formed tuple unifying with the heads, in sorted order."""
         if UNKNOWN not in heads:
             try:
-                return [FSCTuple(*heads)]
+                return [interned(*heads)]
             except FSCError:
                 return []
         choices = [alphabet if h is UNKNOWN else (h,)
                    for h, alphabet in zip(heads, self._alphabets)]
         try:
-            return sorted(FSCTuple(*fields) for fields in product(*choices))
+            return sorted(interned(*fields) for fields in product(*choices))
         except FSCError:
             return []
 
-    def successors(self, state: LabelStreams):
+    def successors(self, state: LabelStreams) -> list:
         q, o, a, q_next = state
         if not (q and o and a and q_next):
-            return
-        tails = state.tails()
-        for t in self._matching((q[0], o[0], a[0], q_next[0])):
-            yield t, tails
+            return []
+        if len(q) == len(o) == len(a) == len(q_next) == 1:
+            tails = EMPTY_STREAMS
+        else:
+            tails = state.tails()
+        heads = (q[0], o[0], a[0], q_next[0])
+        t = _INTERNED.get(heads)
+        if t is not None:
+            return [(t, tails)]
+        return [(t, tails) for t in self._matching(heads)]
+
+
+def _matches_only_equals(background, goal) -> bool:
+    """Whether the background's ``matches_only_equals`` holds for the goal,
+    so a reached state matches it exactly when it equals it.  A background
+    without that method never claims so."""
+    only_equals = getattr(background, "matches_only_equals", None)
+    return only_equals is not None and only_equals(goal)
 
 
 def _top_program(initials, goal, background) -> tuple[set, set, set]:
@@ -274,6 +301,12 @@ def _top_program(initials, goal, background) -> tuple[set, set, set]:
     as Tailrec when it enters a state that reaches one.  The cost is linear
     in the reached atoms.  A state reaches the goal or not by the states
     reached from it alone, so the result is the union of each initial's.
+
+    When the background's ``matches_only_equals`` holds for the goal, the
+    goal's atoms in are one dict lookup rather than a ``matches`` test of
+    every reached state.  An initial state that no atom enters adds nothing
+    either way, so it does not matter whether it is one the background
+    yields.
     """
     successors = background.successors
     # Each reached state's atoms in, as (symbol, source state) pairs; the
@@ -292,11 +325,13 @@ def _top_program(initials, goal, background) -> tuple[set, set, set]:
     tailrec = set()
     # States with an atom into a goal state, then every state that reaches one.
     reaching = set()
-    for state in reached:
-        if state.matches(goal):
-            for sym, src in atoms_in[state]:
-                identity.add(sym)
-                reaching.add(src)
+    if _matches_only_equals(background, goal):
+        goal_atoms = atoms_in.get(goal, [])
+    else:
+        goal_atoms = [atom for state in reached if state.matches(goal) for atom in atoms_in[state]]
+    for sym, src in goal_atoms:
+        identity.add(sym)
+        reaching.add(src)
     work = list(reaching)
     for state in work:
         for sym, src in atoms_in[state]:
@@ -362,11 +397,7 @@ def first_derivation(background, hypothesis: Hypothesis, initial, goal):
     """
     identity_syms, tailrec_syms = hypothesis.symbol_sets
     successors = background.successors
-    only_equals = getattr(background, "matches_only_equals", None)
-    if only_equals is not None and only_equals(goal):
-        goal_matches = partial(eq, goal)
-    else:
-        goal_matches = goal.matches
+    goal_matches = partial(eq, goal) if _matches_only_equals(background, goal) else goal.matches
     visited = {initial}
     steps: list = []  # the steps into the states of the current derivation
     frames = []  # per state on it, from the initial: its untried Tailrec steps

@@ -3,8 +3,8 @@ observation-matrix pipeline that produces controller training behaviours."""
 
 from __future__ import annotations
 
-from .fsc import FSCTuple, OBSERVATION_LABELS, STATE_FOR_ACTION, observe
-from .grid import DIRECTIONS, FLOOR, WALL, Coord, GridMap
+from .fsc import FSCTuple, OBSERVATION_LABELS, STATE_FOR_ACTION, interned, observe
+from .grid import DELTA, DIRECTIONS, FLOOR, WALL, Coord, GridMap
 from .mil import Hypothesis, first_derivation
 from .model import (
     UNKNOWN,
@@ -12,6 +12,7 @@ from .model import (
     GroundAction,
     PlanningProblem,
     StateTerm,
+    _new_tuple,
     direction_of,
     problem_from_map,
 )
@@ -93,6 +94,11 @@ def playback(grid: GridMap, labels) -> tuple[bool, Coord]:
     return pos == end, pos
 
 
+# A matrix's center and its four neighbors, in DIRECTIONS order.
+_CENTER = Coord(1, 1)
+_NEIGHBORS = tuple(Coord(1 + dx, 1 + dy) for dx, dy in map(DELTA.get, DIRECTIONS))
+
+
 def observation_matrices() -> tuple[GridMap, ...]:
     """One 3x3 training map per observation label: the center cell is
     passable and its four neighbors realize exactly that label."""
@@ -100,8 +106,7 @@ def observation_matrices() -> tuple[GridMap, ...]:
     for label in OBSERVATION_LABELS:
         tiles = [[WALL] * 3 for _ in range(3)]
         tiles[1][1] = FLOOR
-        for ch, d in zip(label, DIRECTIONS):
-            n = Coord(1, 1).shifted(d)
+        for ch, n in zip(label, _NEIGHBORS):
             tiles[n.y][n.x] = FLOOR if ch == "p" else WALL
         matrices.append(
             GridMap(f"obs_{label}", 3, 3, tuple(tuple(r) for r in tiles))
@@ -119,17 +124,19 @@ def generate_behaviours(matrices, hypothesis: Hypothesis) -> tuple[tuple[FSCTupl
     a; q is q0 on the first step and the previous q' after it.  A matrix's
     neighbors touch only the center, so each plan is one step long.
     """
-    center = Coord(1, 1)
+    center = _CENTER
     behaviours = []
     for matrix in matrices:
-        background = ActionBackground(matrix)
-        initial = StateTerm(matrix.id, center, matrix.tile_at(center))
+        # Raises MapError unless the center is an in-bounds passable cell;
+        # a neighbor it labels p is one too.
         label = observe(matrix, center)
-        for ch, d in zip(label, DIRECTIONS):
+        map_id, tiles = matrix.id, matrix.tiles
+        background = ActionBackground(matrix)
+        initial = _new_tuple(StateTerm, (map_id, center, tiles[1][1]))
+        for ch, d, goal_pos in zip(label, DIRECTIONS, _NEIGHBORS):
             if ch != "p":
                 continue
-            goal_pos = center.shifted(d)
-            goal = StateTerm(matrix.id, goal_pos, matrix.tile_at(goal_pos))
+            goal = _new_tuple(StateTerm, (map_id, goal_pos, tiles[goal_pos.y][goal_pos.x]))
             steps = first_derivation(background, hypothesis, initial, goal)
             if steps is None:
                 raise UnsolvableError(f"matrix {matrix.id!r} has no {d} behaviour")
@@ -138,7 +145,8 @@ def generate_behaviours(matrices, hypothesis: Hypothesis) -> tuple[tuple[FSCTupl
             for name, nxt in steps:
                 a = direction_of(name)
                 o = label if pos == center else observe(matrix, pos)
-                behaviour.append(FSCTuple(q, o, a, STATE_FOR_ACTION[a]))
-                q, pos = STATE_FOR_ACTION[a], nxt.pos
+                q_next = STATE_FOR_ACTION[a]
+                behaviour.append(interned(q, o, a, q_next))
+                q, pos = q_next, nxt.pos
             behaviours.append(tuple(behaviour))
     return tuple(behaviours)

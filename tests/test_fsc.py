@@ -28,6 +28,7 @@ from gridnav import (
     reverse_pair,
     zero_map,
 )
+from gridnav.fsc import _INTERNED, interned
 
 
 def tuple_universe() -> frozenset[FSCTuple]:
@@ -157,6 +158,38 @@ class TestTupleValidation:
             FSCTuple("q0", "uuuu", "right", "q1")
         with pytest.raises(FSCError):
             FSCTuple("q0", "upuu", "jump", "q1")
+
+
+class TestInternTable:
+    def test_equal_fields_give_the_identical_tuple(self):
+        t = interned("q0", "pupu", "up", "q0")
+        # Equal labels that are not the same string objects.
+        fresh = ["".join(label) for label in (["q", "0"], ["pu", "pu"], ["u", "p"], ["q", "0"])]
+        assert fresh[1] is not t.o
+        assert interned(*fresh) is t
+        assert type(t) is FSCTuple and t == FSCTuple("q0", "pupu", "up", "q0")
+        assert _INTERNED[("q0", "pupu", "up", "q0")] is t
+
+    @pytest.mark.parametrize("fields", [
+        ("q9", "upuu", "right", "q1"),
+        ("q0", "uuuu", "right", "q1"),
+        ("q0", "upuu", "jump", "q1"),
+        ("q0", "upuu", "right", "q4"),
+    ])
+    def test_malformed_fields_raise_and_are_not_stored(self, fields):
+        before = dict(_INTERNED)
+        for _ in range(2):
+            with pytest.raises(FSCError):
+                interned(*fields)
+        assert fields not in _INTERNED
+        assert _INTERNED == before
+
+    def test_the_table_holds_at_most_the_universe(self):
+        universe = tuple_universe()
+        for t in universe:
+            assert interned(*t) == t
+        assert set(_INTERNED) == universe and len(_INTERNED) == 960
+        assert all(type(t) is FSCTuple and key == t for key, t in _INTERNED.items())
 
 
 @dataclasses.dataclass(frozen=True, order=True)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import pickle
+import random
 
 import pytest
 
@@ -15,6 +16,7 @@ from gridnav import (
     generate_lake,
     generate_maze,
     lake_fixture_names,
+    map_fixture_names,
     observe,
     parse_map,
     render_map,
@@ -194,6 +196,60 @@ class TestGridMapInvariants:
         grid = parse_map("sw\nfe", "tiny")
         with pytest.raises(MapError):
             with_endpoints(grid, Coord(1, 1), Coord(0, 0))
+
+
+def without_endpoints(grid: GridMap) -> GridMap:
+    """The grid with its start and end tiles turned to floor."""
+    floor = {"s": "f", "e": "f"}
+    return GridMap(grid.id, grid.width, grid.height,
+                   tuple(tuple(floor.get(t, t) for t in row) for row in grid.tiles))
+
+
+class TestWithEndpointsCopy:
+    """``with_endpoints`` builds its copy without ``GridMap.__init__``; the
+    copy must be the map that constructor validates from the copy's tiles."""
+
+    @staticmethod
+    def assert_validated(copy_, source, start, end):
+        reference = GridMap(source.id, source.width, source.height, copy_.tiles)
+        assert copy_ == reference
+        assert type(copy_) is GridMap
+        assert (copy_.start, copy_.end) == (reference.start, reference.end) == (start, end)
+        assert type(copy_.start) is Coord and type(copy_.end) is Coord
+        assert all(type(row) is tuple for row in copy_.tiles)
+        assert copy_.label_cache is source.label_cache
+
+    def test_copies_equal_validated_maps(self):
+        sources = [fixture_map(name) for name in map_fixture_names()]
+        sources += [generate_maze(15, 11, seed) for seed in range(3)]
+        sources += [generate_lake(12, 9, seed) for seed in range(3)]
+        sources += [without_endpoints(grid) for grid in sources[::2]] + [zero_map()]
+        rng = random.Random(0)
+        copies = 0
+        for source in sources:
+            cells = source.passable_cells()
+            for _ in range(20):
+                start, end = rng.sample(cells, 2)
+                copy_ = with_endpoints(source, start, end)
+                self.assert_validated(copy_, source, start, end)
+                # A copy of the copy, reusing one of its endpoints half the time.
+                start2, end2 = rng.sample(cells, 2)
+                if rng.random() < 0.5:
+                    start2, end2 = (end, start2) if start2 != end else (end, start)
+                self.assert_validated(with_endpoints(copy_, start2, end2), source, start2, end2)
+                copies += 2
+        assert copies == 40 * len(sources) == 840
+
+    def test_rejections_are_unchanged(self):
+        grid = fixture_map("maze_a")
+        wall = next(c for c in grid.cells() if not grid.passable(c))
+        cell = grid.passable_cells()[0]
+        with pytest.raises(MapError, match="start and end must be distinct"):
+            with_endpoints(grid, cell, cell)
+        with pytest.raises(MapError, match="cannot place 's' on unpassable cell"):
+            with_endpoints(grid, wall, cell)
+        with pytest.raises(MapError, match="cannot place 'e' on unpassable cell"):
+            with_endpoints(grid, cell, Coord(grid.width, 0))
 
 
 def filled_lake():

@@ -213,11 +213,12 @@ class TestFirstDerivationSteps:
 
 
 class MatchingBackground:
-    """A map's step actions without ``matches_only_equals``, so
-    ``first_derivation`` tests every goal with ``goal.matches``."""
+    """A background's atoms without ``matches_only_equals``, so
+    ``first_derivation`` tests every goal with ``goal.matches`` and
+    ``_top_program`` finds it by a ``matches`` scan of the reached states."""
 
-    def __init__(self, grid):
-        self.successors = ActionBackground(grid).successors
+    def __init__(self, inner):
+        self.successors = inner.successors
 
 
 def goal_terms(grid):
@@ -255,8 +256,8 @@ class TestFirstDerivationGoalTest:
                         unbound_matches += len(matched)
                     else:
                         assert matched == [], goal
-                    reference = first_derivation(MatchingBackground(grid), solver_hypothesis,
-                                                 initial, goal)
+                    reference = first_derivation(MatchingBackground(ActionBackground(grid)),
+                                                 solver_hypothesis, initial, goal)
                     assert steps == reference, (grid, initial, goal)
                     found[steps is not None] += 1
         assert found[True] > 1000 and found[False] > 1000 and unbound_matches > 1000

@@ -38,13 +38,14 @@ from gridnav import (
     prove,
     with_endpoints,
 )
-from gridnav.mil import EMPTY_STREAMS, first_derivation
+from gridnav.mil import EMPTY_STREAMS, _top_program, first_derivation
 from gridnav.model import action_name
 from gridnav.solver import generate_behaviours
-from gridnav.workbench import controller_examples
+from gridnav.workbench import controller_examples, learn_controller
 
+from test_executors import count_calls
 from test_grid import connected_component, neighbors
-from test_mil import SOLVER_TEXT
+from test_mil import SOLVER_TEXT, MatchingBackground, goal_terms
 
 
 def maps_of(width, height):
@@ -340,3 +341,128 @@ class TestSoundness:
             assert first_derivation(background, hypothesis, problem.initial, problem.goal), instance
             learnable += 1
         assert learnable == 7_636
+
+
+def assert_index_agrees_with_scan(initials, goal, background):
+    indexed = _top_program(initials, goal, background)
+    assert indexed == _top_program(initials, goal, MatchingBackground(background)), (initials, goal)
+    return indexed
+
+
+# Stream labels: each field's alphabet, UNKNOWN, and labels outside every
+# alphabet (``uuuu`` is no controller observation).
+STREAM_LABELS = st.sampled_from(CONTROLLER_STATES + OBSERVATION_LABELS[:4] + ACTION_LABELS
+                                + ("uuuu", "q4", UNKNOWN))
+
+
+def label_streams(max_len=3):
+    return st.builds(LabelStreams, *[st.lists(STREAM_LABELS, max_size=max_len).map(tuple)] * 4)
+
+
+def behaviour_streams(with_unknown):
+    """Streams threading a chained behaviour of 1 to 3 well-formed tuples,
+    some labels replaced by UNKNOWN."""
+    @st.composite
+    def build(draw):
+        q = draw(st.sampled_from(CONTROLLER_STATES))
+        streams = [[], [], [], []]
+        for _ in range(draw(st.integers(1, 3))):
+            o = draw(st.sampled_from(OBSERVATION_LABELS))
+            a = draw(st.sampled_from(ACTION_LABELS))
+            q_next = draw(st.sampled_from(CONTROLLER_STATES))
+            for stream, label in zip(streams, (q, o, a, q_next)):
+                stream.append(UNKNOWN if with_unknown and draw(st.integers(0, 4)) == 0 else label)
+            q = q_next
+        return LabelStreams(*map(tuple, streams))
+    return build()
+
+
+def yielded_states(initials, background):
+    """Every state the background yields from the initial states on."""
+    seen, work = set(), list(initials)
+    for state in work:
+        for _, nxt in background.successors(state):
+            if nxt not in seen:
+                seen.add(nxt)
+                work.append(nxt)
+    return seen
+
+
+class TestGoalIndex:
+    """A goal the background marks ``matches_only_equals`` is found by one
+    ``atoms_in`` lookup; it must give what the scan gives."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(initials=st.lists(st.one_of(behaviour_streams(False), behaviour_streams(True),
+                                       label_streams()), min_size=1, max_size=4),
+           goal=st.one_of(st.just(EMPTY_STREAMS), label_streams(max_len=2)))
+    def test_label_streams_index_agrees_with_the_scan(self, initials, goal):
+        background = TupleBackground()
+        assert background.matches_only_equals(goal) == (goal == EMPTY_STREAMS)
+        assert_index_agrees_with_scan(initials, goal, background)
+
+    def test_the_controller_examples_index_agrees_with_the_scan(self, solver_hypothesis):
+        examples = controller_examples(generate_behaviours(observation_matrices(), solver_hypothesis))
+        initials = [initial for initial, _ in examples]
+        identity, tailrec, reaching = assert_index_agrees_with_scan(
+            initials, EMPTY_STREAMS, TupleBackground())
+        assert len(identity) == 128 and not tailrec and reaching == set(initials)
+
+    def test_action_background_ground_goals_agree_with_the_scan(self):
+        checked = reached_goal = 0
+        grids = list(maps_of(3, 2))
+        grids += [g for grid in grids[::5] for g in bound_instances([grid])]
+        for grid in grids:
+            background = ActionBackground(grid)
+            ground, unbound = goal_terms(grid)
+            initials = [StateTerm(grid.id, pos, grid.tile_at(pos)) for pos in grid.passable_cells()]
+            for goal in ground:
+                assert background.matches_only_equals(goal)
+                for seeds in ([initials[0]], initials[::2], [generalized_example(grid.id).initial]):
+                    reaching = assert_index_agrees_with_scan(seeds, goal, background)[2]
+                    reached_goal += bool(reaching)
+                    checked += 1
+            assert not any(background.matches_only_equals(goal) for goal in unbound)
+        assert (checked, reached_goal) == (4_986, 1_403)
+
+    @settings(max_examples=300, deadline=None)
+    @given(initials=st.lists(st.one_of(behaviour_streams(True), label_streams()),
+                             min_size=1, max_size=4),
+           goal=st.one_of(st.just(EMPTY_STREAMS), st.just(((), (), (), ())),
+                          label_streams(max_len=2)))
+    def test_only_equals_goals_match_exactly_their_equals(self, initials, goal):
+        """Over the drawn goal and the ground goals that unify with a yielded
+        state holding UNKNOWN."""
+        background = TupleBackground()
+        states = yielded_states(initials, background)
+        goals = [goal] + [LabelStreams(*[tuple("q0" if label is UNKNOWN else label for label in stream)
+                                         for stream in state]) for state in states]
+        for candidate in goals:
+            if background.matches_only_equals(candidate):
+                for state in states:
+                    assert state.matches(candidate) == (state == candidate), (state, candidate)
+
+
+class TestNoRepeatedWork:
+    """Count guards, as ``TestValueObjectChurn``: controller learning
+    validates no tuple it has seen and tests no state against a ground goal."""
+
+    def test_warm_learn_controller_builds_no_controller_tuples(self, monkeypatch, solver_hypothesis):
+        expected = learn_controller(solver_hypothesis)
+        built = count_calls(monkeypatch, FSCTuple, "__new__")
+        assert learn_controller(solver_hypothesis) == expected
+        assert built == []
+
+    def test_ground_goal_top_program_makes_no_matches_calls(self, monkeypatch, solver_hypothesis):
+        examples = controller_examples(generate_behaviours(observation_matrices(), solver_hypothesis))
+        streams_matched = count_calls(monkeypatch, LabelStreams, "matches")
+        terms_matched = count_calls(monkeypatch, StateTerm, "matches")
+        _top_program([initial for initial, _ in examples], EMPTY_STREAMS, TupleBackground())
+        grid = fixture_map("maze_a")
+        problem = problem_from_map(grid)
+        assert prove(problem.initial, problem.goal, ActionBackground(grid))
+        assert streams_matched == [] and terms_matched == []
+        # The scan, for contrast, tests every reached state.
+        _top_program([initial for initial, _ in examples], EMPTY_STREAMS,
+                     MatchingBackground(TupleBackground()))
+        assert len(streams_matched) == 129
