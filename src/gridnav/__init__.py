@@ -54,7 +54,6 @@ from .grid import (
 from .mil import (
     DefiniteClause,
     Hypothesis,
-    LabelStreams,
     LearningError,
     Metarule,
     TupleBackground,
@@ -73,6 +72,7 @@ from .model import (
     generalized_example,
     instantiate_actions,
     problem_from_map,
+    unifies,
 )
 from .slam import SlamFault, SlamMap, render_slam, slam_move, slam_permits, slam_update
 from .solver import (

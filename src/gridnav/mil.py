@@ -7,22 +7,17 @@ substitutions (template, body symbol); applying them gives the learned
 first-order program.
 
 A background is a set of dyadic ground atoms ``symbol(state, next)``, given
-as any object with one method over hashable states that have
-``matches(goal)``: ``successors(state)`` returns an iterable of (symbol,
-next state), one for every atom whose first argument unifies with the
-state, in sorted symbol order (the order of ``Hypothesis.ordered``).
-``ActionBackground`` (the step actions of a map, read off its tiles) and
-``TupleBackground`` (the controller tuples that consume the heads of label
-streams, read off those heads; no tuple universe is built) implement it.
-Label streams are a NamedTuple; streams of one label each all have the one
-shared empty tail, ``EMPTY_STREAMS``, so expanding a one-tuple example
-builds no new state, and its tuple is the shared one of ``fsc.interned``.
-A background may also define ``matches_only_equals(goal)``, true when the
-goal matches exactly its equals among the background's states:
-``ActionBackground`` does for goals with no UNKNOWN field, and
-``TupleBackground`` for ``EMPTY_STREAMS``.  Both engines then find the goal
-by equality: ``first_derivation`` tests states with ``==`` and learning
-reads the goal's atoms with one dict lookup.
+as any object with two methods over hashable states.  ``successors(state)``
+returns an iterable of (symbol, next state), one for every atom whose first
+argument unifies with the state, in sorted symbol order (the order of
+``Hypothesis.ordered``).  ``matches_only_equals(goal)`` says whether the
+goal matches exactly its equals among the states the background yields, so
+that both engines test reached states by ``==`` rather than by
+``model.unifies``.  ``ActionBackground`` (the step actions of a map, read
+off its tiles) and ``TupleBackground`` (the controller tuples, read off the
+head of a behaviour suffix) implement it.  A controller-learning state is
+the part of a behaviour not yet consumed, a plain tuple of (q, o, a, q')
+quadruples, and its goal is the empty suffix ``()``.
 
 Two engines run over it: ``learn`` (``prove`` for one example) collects
 the metasubstitutions of every refutation, for learning; ``first_derivation``
@@ -183,110 +178,61 @@ class Hypothesis(FrozenRecord):
         return cls.of(clauses, target)
 
 
-class LabelStreams(NamedTuple):
-    """Resolution state for controller learning: four label streams consumed
-    in lockstep, one (q, o, a, q') quadruple per applied tuple.
-
-    A plain NamedTuple, so it hashes and compares in C and equals the plain
-    tuple of its streams (no container mixes the two).  Streams of one
-    label each have the shared ``EMPTY_STREAMS`` as their tails."""
-
-    q_seq: tuple
-    o_seq: tuple
-    a_seq: tuple
-    q_next_seq: tuple
-
-    def heads(self) -> tuple | None:
-        q, o, a, q_next = self
-        if q and o and a and q_next:
-            return q[0], o[0], a[0], q_next[0]
-        return None
-
-    def tails(self) -> "LabelStreams":
-        q, o, a, q_next = self
-        if len(q) <= 1 and len(o) <= 1 and len(a) <= 1 and len(q_next) <= 1:
-            return EMPTY_STREAMS
-        return _new_tuple(LabelStreams, (q[1:], o[1:], a[1:], q_next[1:]))
-
-    def matches(self, other: "LabelStreams") -> bool:
-        q, o, a, q_next = self
-        q2, o2, a2, q_next2 = other
-        if len(q) != len(q2) or len(o) != len(o2) or len(a) != len(a2) or len(q_next) != len(q_next2):
-            return False
-        return (all(map(unifies, q, q2)) and all(map(unifies, o, o2))
-                and all(map(unifies, a, a2)) and all(map(unifies, q_next, q_next2)))
-
-
-EMPTY_STREAMS = LabelStreams((), (), (), ())
-
-
 def behaviour_goals(behaviour: Sequence[FSCTuple], initial_qs: Iterable[str]) -> list:
     """Encode a behaviour as resolution goals, one per initial controller
-    state: initial streams threading its labels, with the first controller
-    state replaced, and the empty goal.  The behaviour's streams are read
-    once; the goals differ only in the first controller state."""
+    state: the whole behaviour as the suffix still to consume, with its
+    first controller state replaced, and the empty suffix ``()`` as goal."""
     if not behaviour:
         raise ValueError("behaviour must contain at least one tuple")
-    q_seq, o_seq, a_seq, q_next_seq = zip(*behaviour)
-    q_rest = q_seq[1:]
-    return [(_new_tuple(LabelStreams, ((q,) + q_rest, o_seq, a_seq, q_next_seq)), EMPTY_STREAMS)
-            for q in initial_qs]
+    first = behaviour[0][1:]
+    rest = tuple(behaviour[1:])
+    return [(((q,) + first,) + rest, ()) for q in initial_qs]
 
 
 class TupleBackground:
-    """The controller tuples as a ground background: each well-formed 4-tuple
-    is one dyadic symbol that consumes a matching quadruple of stream heads.
+    """The controller tuples as a ground background over behaviour suffixes:
+    each well-formed 4-tuple is one dyadic symbol that consumes a matching
+    head quadruple of a suffix and leads to the rest of it.
 
-    The matching tuples are read off the heads, so no tuple universe is
-    built: ground heads name at most one tuple, and an UNKNOWN head ranges
-    over its field's alphabet.  Tuples are the shared ones of
-    ``fsc.interned``, so heads seen before are not validated again."""
+    The matching tuples are read off the head, so no tuple universe is
+    built: a ground head names at most one tuple, and an UNKNOWN field
+    ranges over its alphabet.  Tuples are the shared ones of
+    ``fsc.interned``, so a head seen before is one table lookup."""
 
     def __init__(self):
         self._alphabets = (CONTROLLER_STATES, OBSERVATION_LABELS, ACTION_LABELS, CONTROLLER_STATES)
 
     @staticmethod
-    def matches_only_equals(goal: LabelStreams) -> bool:
-        """Whether the goal matches exactly its equals among the states this
-        background yields: the tails it yields may hold UNKNOWN labels, so
-        only the goal of all-empty streams does."""
-        return goal == EMPTY_STREAMS
+    def matches_only_equals(goal: tuple) -> bool:
+        """Whether the goal matches exactly its equals among the suffixes
+        this background yields: they may hold UNKNOWN labels, so only the
+        empty suffix does."""
+        return not goal
 
-    def _matching(self, heads: tuple) -> list[FSCTuple]:
-        """Every well-formed tuple unifying with the heads, in sorted order."""
-        if UNKNOWN not in heads:
-            try:
-                return [interned(*heads)]
-            except FSCError:
-                return []
+    def _matching(self, head: tuple) -> list[FSCTuple]:
+        """Every well-formed tuple unifying with the head, in sorted order."""
         choices = [alphabet if h is UNKNOWN else (h,)
-                   for h, alphabet in zip(heads, self._alphabets)]
+                   for h, alphabet in zip(head, self._alphabets, strict=True)]
         try:
             return sorted(interned(*fields) for fields in product(*choices))
         except FSCError:
             return []
 
-    def successors(self, state: LabelStreams) -> list:
-        q, o, a, q_next = state
-        if not (q and o and a and q_next):
+    def successors(self, state: tuple) -> list:
+        if not state:
             return []
-        if len(q) == len(o) == len(a) == len(q_next) == 1:
-            tails = EMPTY_STREAMS
-        else:
-            tails = state.tails()
-        heads = (q[0], o[0], a[0], q_next[0])
-        t = _INTERNED.get(heads)
+        t = _INTERNED.get(state[0])
         if t is not None:
-            return [(t, tails)]
-        return [(t, tails) for t in self._matching(heads)]
+            return [(t, state[1:])]
+        rest = state[1:]
+        return [(t, rest) for t in self._matching(state[0])]
 
 
-def _matches_only_equals(background, goal) -> bool:
-    """Whether the background's ``matches_only_equals`` holds for the goal,
-    so a reached state matches it exactly when it equals it.  A background
-    without that method never claims so."""
-    only_equals = getattr(background, "matches_only_equals", None)
-    return only_equals is not None and only_equals(goal)
+def _goal_test(background, goal):
+    """The test a reached state passes when it matches the goal: ``==`` when
+    the background's ``matches_only_equals`` holds for the goal, else
+    ``unifies``."""
+    return partial(eq if background.matches_only_equals(goal) else unifies, goal)
 
 
 def _top_program(initials, goal, background) -> tuple[set, set, set]:
@@ -301,12 +247,6 @@ def _top_program(initials, goal, background) -> tuple[set, set, set]:
     as Tailrec when it enters a state that reaches one.  The cost is linear
     in the reached atoms.  A state reaches the goal or not by the states
     reached from it alone, so the result is the union of each initial's.
-
-    When the background's ``matches_only_equals`` holds for the goal, the
-    goal's atoms in are one dict lookup rather than a ``matches`` test of
-    every reached state.  An initial state that no atom enters adds nothing
-    either way, so it does not matter whether it is one the background
-    yields.
     """
     successors = background.successors
     # Each reached state's atoms in, as (symbol, source state) pairs; the
@@ -325,13 +265,10 @@ def _top_program(initials, goal, background) -> tuple[set, set, set]:
     tailrec = set()
     # States with an atom into a goal state, then every state that reaches one.
     reaching = set()
-    if _matches_only_equals(background, goal):
-        goal_atoms = atoms_in.get(goal, [])
-    else:
-        goal_atoms = [atom for state in reached if state.matches(goal) for atom in atoms_in[state]]
-    for sym, src in goal_atoms:
-        identity.add(sym)
-        reaching.add(src)
+    for state in filter(_goal_test(background, goal), reached):
+        for sym, src in atoms_in[state]:
+            identity.add(sym)
+            reaching.add(src)
     work = list(reaching)
     for state in work:
         for sym, src in atoms_in[state]:
@@ -392,12 +329,11 @@ def first_derivation(background, hypothesis: Hypothesis, initial, goal):
     re-entered, so cyclic maps terminate.  Returns the (symbol, next state)
     steps of the first derivation found, chained from ``initial``, or None.
 
-    A goal for which the background's ``matches_only_equals`` holds is
-    tested with ``==``; any other goal with ``goal.matches``.
+    A reached state matches the goal by ``_goal_test``.
     """
     identity_syms, tailrec_syms = hypothesis.symbol_sets
     successors = background.successors
-    goal_matches = partial(eq, goal) if _matches_only_equals(background, goal) else goal.matches
+    goal_matches = _goal_test(background, goal)
     visited = {initial}
     steps: list = []  # the steps into the states of the current derivation
     frames = []  # per state on it, from the initial: its untried Tailrec steps

@@ -34,8 +34,12 @@ UNKNOWN = _Unknown()
 
 
 def unifies(a, b) -> bool:
-    """Whether two term fields unify: equal, or either one UNKNOWN."""
-    return a is UNKNOWN or b is UNKNOWN or a == b
+    """Whether two terms unify: they are equal, either one is UNKNOWN, or
+    both are tuples of one length whose fields unify pairwise."""
+    if a is UNKNOWN or b is UNKNOWN or a == b:
+        return True
+    return (isinstance(a, tuple) and isinstance(b, tuple) and len(a) == len(b)
+            and all(map(unifies, a, b)))
 
 
 def action_name(direction: str) -> str:
@@ -57,23 +61,13 @@ class StateTerm(NamedTuple):
     """Fluents of one environment state: map id, position, tile kind.
 
     ``pos`` and ``tile`` may be UNKNOWN in problem statements; the map id is
-    always ground.  Wall tiles never appear in state terms.
+    always ground.  Wall tiles never appear in state terms.  A state term
+    matches another when the two unify (``unifies``).
     """
 
     map_id: str
     pos: Coord | _Unknown
     tile: str | _Unknown
-
-    def matches(self, other: "StateTerm") -> bool:
-        """Fieldwise unification against another state term; UNKNOWN fields
-        on either side match anything."""
-        map_id, pos, tile = self
-        map_id2, pos2, tile2 = other
-        return (
-            map_id == map_id2
-            and (pos is UNKNOWN or pos2 is UNKNOWN or pos == pos2)
-            and (tile is UNKNOWN or tile2 is UNKNOWN or tile == tile2)
-        )
 
     def __repr__(self) -> str:
         return f"[{self.map_id},{_term(self.pos)},{_term(self.tile)}]"

@@ -168,17 +168,11 @@ class InstanceRecord(NamedTuple):
 
 
 class ExperimentReport(Record):
-    __slots__ = _fields = ("spec", "records", "outcomes")
+    __slots__ = _fields = ("spec", "records")
 
-    def __init__(self, spec: ExperimentSpec, records: tuple[InstanceRecord, ...],
-                 outcomes: dict[str, RunOutcome] | None = None) -> None:
+    def __init__(self, spec: ExperimentSpec, records: tuple[InstanceRecord, ...]) -> None:
         self.spec = spec
         self.records = records
-        self.outcomes = {} if outcomes is None else outcomes
-
-    def __repr__(self) -> str:
-        # The per-instance outcomes are left out: they hold every map and run.
-        return f"ExperimentReport(spec={self.spec!r}, records={self.records!r})"
 
     @property
     def solved_fraction(self) -> float:
@@ -240,7 +234,7 @@ def experiment_instances(spec: ExperimentSpec) -> list[tuple[str, GridMap]]:
 def run_experiment(spec: ExperimentSpec, *, solver: Hypothesis | None = None,
                    controller: FSC | None = None) -> ExperimentReport:
     """Run the agent over the spec's instance set and aggregate a report row
-    plus per-instance records.  A spec naming an unknown agent or
+    plus per-instance records; the runs themselves are not kept.  A spec naming an unknown agent or
     environment, fewer than one instance, or a step budget its agent
     rejects raises before anything is learned."""
     if spec.agent not in AGENTS:
@@ -256,12 +250,10 @@ def run_experiment(spec: ExperimentSpec, *, solver: Hypothesis | None = None,
     elif controller is None:
         controller = learn_controller(solver if solver is not None else learn_solver())
     records = []
-    outcomes = {}
     for name, grid in instances:
         run = run_single(
             spec.agent, grid, solver=solver, controller=controller,
             step_budget=spec.step_budget,
         )
         records.append(InstanceRecord(name, spec.agent, run.outcome, run.steps))
-        outcomes[name] = run
-    return ExperimentReport(spec, tuple(records), outcomes)
+    return ExperimentReport(spec, tuple(records))

@@ -57,7 +57,7 @@ from gridnav import (
     run_single,
     with_endpoints,
 )
-from gridnav.model import direction_of
+from gridnav.model import direction_of, unifies
 
 from test_executors import SpyEnvironment, assert_only_labels_cross
 from test_fsc import tuple_universe
@@ -101,7 +101,7 @@ def sld_plan(grid: GridMap, hypothesis) -> tuple[str, ...] | None:
                 if symbol != clause.body_symbol:
                     continue
                 if clause.metarule is Metarule.IDENTITY:
-                    if nxt.matches(problem.goal):
+                    if unifies(nxt, problem.goal):
                         return [symbol]
                 elif nxt not in path:
                     rest = refute(nxt, path | {nxt})

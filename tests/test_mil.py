@@ -32,7 +32,7 @@ from gridnav import (
     prove,
     zero_map,
 )
-from gridnav.mil import EMPTY_STREAMS, LabelStreams, behaviour_goals, first_derivation
+from gridnav.mil import behaviour_goals, first_derivation
 from gridnav.model import StateTerm, direction_of, unifies
 from gridnav.workbench import controller_examples
 
@@ -178,14 +178,14 @@ class TestLearn:
 
 def assert_chained_steps(background, steps, initial, goal):
     """Each (symbol, next state) step is an atom of the background out of
-    the state before it, starting at ``initial``; the last state matches
-    the goal."""
+    the state before it, starting at ``initial``; the last state unifies
+    with the goal."""
     state = initial
     for step in steps:
         assert len(step) == 2
         assert step in list(background.successors(state))
         state = step[1]
-    assert state.matches(goal)
+    assert unifies(state, goal)
 
 
 class TestFirstDerivationSteps:
@@ -213,12 +213,15 @@ class TestFirstDerivationSteps:
 
 
 class MatchingBackground:
-    """A background's atoms without ``matches_only_equals``, so
-    ``first_derivation`` tests every goal with ``goal.matches`` and
-    ``_top_program`` finds it by a ``matches`` scan of the reached states."""
+    """A background's atoms with ``matches_only_equals`` false for every
+    goal, so both engines test every goal with ``unifies``."""
 
     def __init__(self, inner):
         self.successors = inner.successors
+
+    @staticmethod
+    def matches_only_equals(goal) -> bool:
+        return False
 
 
 def goal_terms(grid):
@@ -234,12 +237,12 @@ def goal_terms(grid):
 class TestFirstDerivationGoalTest:
     def test_equality_and_matches_give_the_same_derivation(self, monkeypatch, solver_hypothesis):
         """Over every 3x2 map and its endpoint copies, from every passable
-        cell: ground goals are tested by equality, never by ``matches``,
-        and give the derivation ``matches`` gives; unbound goals keep
-        ``matches``."""
+        cell: ground goals are tested by equality, never by ``unifies``,
+        and give the derivation ``unifies`` gives; unbound goals keep
+        ``unifies``."""
         from test_top_program import bound_instances, maps_of  # it imports this module
 
-        matched = count_calls(monkeypatch, StateTerm, "matches")
+        matched = count_calls(monkeypatch, mil, "unifies")
         found = {True: 0, False: 0}
         unbound_matches = 0
         grids = list(maps_of(3, 2))
@@ -262,17 +265,17 @@ class TestFirstDerivationGoalTest:
                     found[steps is not None] += 1
         assert found[True] > 1000 and found[False] > 1000 and unbound_matches > 1000
 
-    def test_unknown_nested_in_label_streams_keeps_matches(self):
+    def test_unknown_nested_in_a_suffix_keeps_unifies(self):
         """A top-level ``UNKNOWN in goal`` test cannot see an UNKNOWN label
-        inside label streams; over the tuple background such a goal still
-        matches the ground streams it unifies with."""
+        inside a suffix's quadruples; over the tuple background such a goal
+        still matches the ground suffix it unifies with."""
         ground = FSCTuple("q0", "pppp", "up", "q1")
-        initial = LabelStreams(("q0", "q1"), ("pppp", "pppp"), ("up", "up"), ("q1", "q1"))
-        goal = LabelStreams(("q1",), (UNKNOWN,), ("up",), ("q1",))
+        initial = (("q0", "pppp", "up", "q1"), ("q1", "pppp", "up", "q1"))
+        goal = (("q1", UNKNOWN, "up", "q1"),)
         assert UNKNOWN not in goal
         hypothesis = Hypothesis.of([DefiniteClause(Metarule.IDENTITY, "c", ground)], "c")
         steps = first_derivation(TupleBackground(), hypothesis, initial, goal)
-        assert steps == [(ground, initial.tails())]
+        assert steps == [(ground, initial[1:])]
 
     @pytest.mark.parametrize("tailrec, labels", [
         (("step_up",), ("up", "right")),
@@ -332,42 +335,25 @@ class TestHypothesisText:
         assert hypothesis.symbol_sets is hypothesis.symbol_sets
 
 
-class TestLabelStreams:
-    def test_equal_streams_hash_alike(self):
-        one = LabelStreams(("q0", "q1"), ("upuu", "pppp"), ("right", "up"), ("q1", "q0"))
-        two = LabelStreams(("q0", "q1"), ("upuu", "pppp"), ("right", "up"), ("q1", "q0"))
+class TestSuffixes:
+    def test_suffixes_of_tuples_equal_and_hash_as_their_labels(self):
+        # A goal's head is a plain quadruple and its rest the behaviour's own
+        # FSCTuples; equal suffixes are the same state either way.
+        behaviour = (FSCTuple("q0", "upuu", "right", "q1"), FSCTuple("q1", "pppp", "up", "q0"))
+        one = behaviour_goal(behaviour)[0]
+        two = tuple(tuple(t) for t in behaviour)
         assert one == two and hash(one) == hash(two)
-        assert len({one, two, one.tails(), two.tails()}) == 2
-        assert one != one.tails()
-        # Widened on purpose, as for FSCTuple: equal to the plain tuple of its
-        # streams, and hashed alike; no container mixes the two.
-        plain = (one.q_seq, one.o_seq, one.a_seq, one.q_next_seq)
-        assert one == plain and hash(one) == hash(plain)
+        assert len({one, two, one[1:], two[1:]}) == 2
+        assert one != one[1:]
 
-    def test_one_label_streams_share_the_empty_tails(self):
-        assert LabelStreams(("q0",), ("upuu",), ("right",), ("q1",)).tails() is EMPTY_STREAMS
-        assert LabelStreams(("q0",), (), ("right",), ()).tails() is EMPTY_STREAMS
-        assert EMPTY_STREAMS.tails() is EMPTY_STREAMS
-        longer = LabelStreams(("q0",), ("upuu", "pppp"), ("right",), ("q1",))
-        assert longer.tails() == ((), ("pppp",), (), ())
-
-    def test_repr_names_the_streams(self):
-        assert repr(LabelStreams(("q0",), (), (), ())) == (
-            "LabelStreams(q_seq=('q0',), o_seq=(), a_seq=(), q_next_seq=())")
-
-    def test_matches_needs_equal_lengths_then_unification(self):
-        state = LabelStreams(("q0",), ("upuu",), ("right",), ("q1",))
-        pattern = LabelStreams((UNKNOWN,), ("upuu",), (UNKNOWN,), ("q1",))
-        assert state.matches(pattern) and pattern.matches(state)
-        assert not state.matches(LabelStreams(("q0",), ("upuu",), ("left",), ("q1",)))
-        longer = LabelStreams((UNKNOWN, UNKNOWN), ("upuu",), ("right",), ("q1",))
-        assert not state.matches(longer) and not longer.matches(state)
-        assert state.tails().matches(LabelStreams((), (), (), ()))
-
-    def test_heads_need_every_stream(self):
-        assert LabelStreams(("q0",), ("upuu",), ("right",), ("q1",)).heads() == (
-            "q0", "upuu", "right", "q1")
-        assert LabelStreams(("q0",), ("upuu",), (), ("q1",)).heads() is None
+    def test_unification_needs_equal_lengths_then_unifying_labels(self):
+        state = (("q0", "upuu", "right", "q1"),)
+        pattern = ((UNKNOWN, "upuu", UNKNOWN, "q1"),)
+        assert unifies(state, pattern) and unifies(pattern, state)
+        assert not unifies(state, (("q0", "upuu", "left", "q1"),))
+        longer = ((UNKNOWN, "upuu", "right", "q1"), (UNKNOWN,) * 4)
+        assert not unifies(state, longer) and not unifies(longer, state)
+        assert unifies(state[1:], ())
 
 
 def reference_matching(index, heads):
@@ -389,34 +375,34 @@ class TestTupleBackground:
                                    CONTROLLER_STATES)]
         background = TupleBackground()
         second = ("q1", "pppp", "up", "q0")
-        tails = LabelStreams(*((label,) for label in second))
         patterns = 0
         for heads in product(*fields):
-            state = LabelStreams(*zip(heads, second))
+            state = (heads, second)
             expected = reference_matching(index, heads)
             got = list(background.successors(state))
             assert [sym for sym, _ in got] == expected, heads
-            assert all(nxt == tails for _, nxt in got)
+            assert all(nxt == (second,) for _, nxt in got)
             patterns += 1
         assert patterns == 6 * 17 * 6 * 6
 
-    def test_one_label_states_yield_the_shared_empty_tails(self):
-        # Every one-label state: each field UNKNOWN, a label of its alphabet
-        # or a label outside it.  No tail is built per state.
+    def test_one_quadruple_states_yield_the_shared_empty_suffix(self):
+        # Every one-quadruple state: each field UNKNOWN, a label of its
+        # alphabet or a label outside it.  No suffix is built per state.
+        empty = ()
         fields = [(UNKNOWN, *alphabet, "x")
                   for alphabet in (CONTROLLER_STATES, OBSERVATION_LABELS, ACTION_LABELS,
                                    CONTROLLER_STATES)]
         background = TupleBackground()
         yielded = 0
         for heads in product(*fields):
-            for _, nxt in background.successors(LabelStreams(*((h,) for h in heads))):
-                assert nxt is EMPTY_STREAMS, heads
+            for _, nxt in background.successors((heads,)):
+                assert nxt is empty, heads
                 yielded += 1
         # Each tuple unifies with the 2**4 patterns of its labels and UNKNOWN.
         assert yielded == len(tuple_universe()) * 2 ** 4
         examples = controller_examples(generate_behaviours(observation_matrices(), learn_solver()))
         for initial, _ in examples:
-            assert [nxt is EMPTY_STREAMS for _, nxt in background.successors(initial)] == [True]
+            assert [nxt is empty for _, nxt in background.successors(initial)] == [True]
 
     def test_learning_validates_fewer_tuples_than_the_universe(self, monkeypatch):
         universe_size = len(tuple_universe())
@@ -434,13 +420,12 @@ class TestTupleBackground:
 
     def test_unknown_head_enumerates(self):
         background = TupleBackground()
-        state = LabelStreams((UNKNOWN,), ("upuu",), ("right",), ("q1",))
+        state = ((UNKNOWN, "upuu", "right", "q1"),)
         cands = list(background.successors(state))
         assert len(cands) == 4  # one per controller state
 
-    def test_empty_streams_have_no_candidates(self):
-        background = TupleBackground()
-        assert list(background.successors(LabelStreams((), (), (), ()))) == []
+    def test_the_empty_suffix_has_no_candidates(self):
+        assert list(TupleBackground().successors(())) == []
 
     def test_learn_from_single_behaviour(self):
         behaviour = [FSCTuple("q0", "upuu", "right", "q1")]

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridnav import (
+    ACTION_LABELS,
+    CONTROLLER_STATES,
+    OBSERVATION_LABELS,
     ActionBackground,
     Coord,
     GroundAction,
@@ -19,7 +24,7 @@ from gridnav import (
     problem_from_map,
     zero_map,
 )
-from gridnav.model import action_name
+from gridnav.model import action_name, unifies
 
 from test_executors import count_calls
 from test_grid import adjacency_edges, neighbors
@@ -110,7 +115,7 @@ class TestInstantiateActions:
 
 
 def expected_successors(actions, state):
-    return [(a.name, a.output) for a in actions if a.input.matches(state)]
+    return [(a.name, a.output) for a in actions if unifies(a.input, state)]
 
 
 class TestActionBackground:
@@ -204,6 +209,111 @@ class TestProblems:
     def test_unknown_matches_anything(self):
         pattern = StateTerm("m", UNKNOWN, UNKNOWN)
         ground = StateTerm("m", Coord(3, 4), "f")
-        assert pattern.matches(ground)
-        assert ground.matches(pattern)
-        assert not pattern.matches(StateTerm("other", Coord(3, 4), "f"))
+        assert unifies(pattern, ground)
+        assert unifies(ground, pattern)
+        assert not unifies(pattern, StateTerm("other", Coord(3, 4), "f"))
+
+
+# The matching rule as ``StateTerm.matches`` and ``LabelStreams.matches``
+# wrote it before ``unifies`` became the one rule: the references below.
+
+def state_term_matches(term, other) -> bool:
+    map_id, pos, tile = term
+    map_id2, pos2, tile2 = other
+    return (
+        map_id == map_id2
+        and (pos is UNKNOWN or pos2 is UNKNOWN or pos == pos2)
+        and (tile is UNKNOWN or tile2 is UNKNOWN or tile == tile2)
+    )
+
+
+def label_streams_matches(streams, other) -> bool:
+    """Four label streams against four: equal lengths, then each label pair
+    equal or either one UNKNOWN."""
+    def field_unifies(a, b):
+        return a is UNKNOWN or b is UNKNOWN or a == b
+
+    return (all(len(s) == len(t) for s, t in zip(streams, other))
+            and all(all(map(field_unifies, s, t)) for s, t in zip(streams, other)))
+
+
+def streams_of(suffix) -> tuple:
+    """The four label streams a suffix of (q, o, a, q') quadruples threads."""
+    return tuple(tuple(quadruple[i] for quadruple in suffix) for i in range(4))
+
+
+LABELS = st.sampled_from(CONTROLLER_STATES[:2] + OBSERVATION_LABELS[:2] + ACTION_LABELS[:2])
+GROUND_ATOMS = st.one_of(LABELS, st.integers(0, 2))
+TERM_LABELS = st.one_of(LABELS, st.just(UNKNOWN))
+
+
+def terms(atoms):
+    """Atoms and nested tuples of them, up to three fields a tuple."""
+    return st.recursive(atoms, lambda inner: st.lists(inner, max_size=3).map(tuple), max_leaves=8)
+
+
+def state_terms():
+    return st.builds(StateTerm, st.sampled_from(("m", "n")),
+                     st.one_of(st.just(UNKNOWN), st.builds(Coord, st.integers(0, 1), st.integers(0, 1))),
+                     st.one_of(st.just(UNKNOWN), st.sampled_from("fse")))
+
+
+def suffixes_of_length(length):
+    return st.lists(st.tuples(*[TERM_LABELS] * 4), min_size=length, max_size=length).map(tuple)
+
+
+def with_holes(draw, term):
+    """The term with some of its subterms, at any depth, made UNKNOWN."""
+    if draw(st.integers(0, 3)) == 0:
+        return UNKNOWN
+    if isinstance(term, tuple):
+        return tuple(with_holes(draw, field) for field in term)
+    return term
+
+
+class TestUnifies:
+    @settings(max_examples=300, deadline=None)
+    @given(term=state_terms(), other=state_terms())
+    def test_agrees_with_state_term_matches(self, term, other):
+        assert unifies(term, other) == state_term_matches(term, other)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), lengths=st.tuples(st.integers(0, 3), st.integers(0, 3)))
+    def test_agrees_with_label_streams_matches(self, data, lengths):
+        """On suffixes, whose streams are never ragged: any two, and one
+        against itself with holes in its quadruples."""
+        one = data.draw(suffixes_of_length(lengths[0]))
+        two = data.draw(suffixes_of_length(lengths[1]))
+        holed = tuple(tuple(UNKNOWN if data.draw(st.integers(0, 3)) == 0 else label
+                            for label in quadruple) for quadruple in one)
+        for other in (two, holed, one[::-1]):
+            assert unifies(one, other) == label_streams_matches(streams_of(one), streams_of(other))
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=terms(st.one_of(GROUND_ATOMS, st.just(UNKNOWN))),
+           b=terms(st.one_of(GROUND_ATOMS, st.just(UNKNOWN))))
+    def test_symmetric(self, a, b):
+        assert unifies(a, b) == unifies(b, a)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), term=terms(st.one_of(GROUND_ATOMS, st.just(UNKNOWN))))
+    def test_unknown_unifies_at_any_depth(self, data, term):
+        holed = with_holes(data.draw, term)
+        assert unifies(holed, term) and unifies(term, holed)
+        assert unifies(UNKNOWN, term) and unifies(term, UNKNOWN)
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.lists(terms(TERM_LABELS), max_size=4).map(tuple),
+           b=st.lists(terms(TERM_LABELS), max_size=4).map(tuple))
+    def test_unequal_lengths_never_unify(self, a, b):
+        if len(a) != len(b):
+            assert not unifies(a, b)
+            assert not unifies((a,), (b,))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), a=terms(GROUND_ATOMS))
+    def test_ground_terms_unify_exactly_when_equal(self, data, a):
+        b = data.draw(st.one_of(terms(GROUND_ATOMS), st.just(a)))
+        assert unifies(a, b) == (a == b)
+        copy = tuple(a) if isinstance(a, tuple) else a
+        assert unifies(a, copy) and unifies(copy, a)

@@ -1,7 +1,7 @@
 """``prove`` builds the Top program of every refutation of an example.
 These tests hold it to two references written here: the enumeration of
 every simple derivation, which it must equal wherever refutations cannot
-step back (generalized examples and label streams) and contain everywhere,
+step back (generalized examples and behaviour suffixes) and contain everywhere,
 and a reading of the Top program off the tiles, which it must equal on
 every bound example.  ``learn`` makes one pass per distinct goal over all
 its examples, and must give the union of ``prove``'s answers."""
@@ -23,7 +23,6 @@ from gridnav import (
     Coord,
     FSCTuple,
     GridMap,
-    LabelStreams,
     Metarule,
     StateTerm,
     TupleBackground,
@@ -38,8 +37,9 @@ from gridnav import (
     prove,
     with_endpoints,
 )
-from gridnav.mil import EMPTY_STREAMS, _top_program, first_derivation
-from gridnav.model import action_name
+import gridnav.mil as mil
+from gridnav.mil import _top_program, first_derivation
+from gridnav.model import action_name, unifies
 from gridnav.solver import generate_behaviours
 from gridnav.workbench import controller_examples, learn_controller
 
@@ -97,7 +97,7 @@ def prove_by_enumeration(initial, goal, background) -> frozenset:
             grouped.setdefault(nxt, set()).add(sym)
         frame = [state, entered_via, list(grouped.items()), 0, False]
         for nxt, syms in frame[2]:
-            if nxt.matches(goal):
+            if unifies(nxt, goal):
                 metasubs.update((Metarule.IDENTITY, sym) for sym in syms)
                 frame[4] = True
         return frame
@@ -194,6 +194,7 @@ class CountingBackground:
     def __init__(self, inner):
         self.inner = inner
         self.calls = Counter()
+        self.matches_only_equals = inner.matches_only_equals
 
     def successors(self, state):
         self.calls[state] += 1
@@ -245,24 +246,20 @@ class TestAgainstTheEnumeration:
     def test_chained_behaviours_with_unknown_heads(self, data):
         length = data.draw(st.integers(1, 4), label="length")
         q = data.draw(st.sampled_from(CONTROLLER_STATES), label="q")
-        streams = [[], [], [], []]
+        quadruples = []
         for _ in range(length):
             o = data.draw(st.sampled_from(OBSERVATION_LABELS))
             a = data.draw(st.sampled_from(ACTION_LABELS))
             q_next = data.draw(st.sampled_from(CONTROLLER_STATES))
-            for stream, label in zip(streams, FSCTuple(q, o, a, q_next)):
-                stream.append(label)
+            quadruples.append(list(FSCTuple(q, o, a, q_next)))
             q = q_next
-        for stream in streams:
+        for field in range(4):
             for i in data.draw(st.sets(st.integers(0, length - 1), max_size=2)):
-                stream[i] = UNKNOWN
-        if data.draw(st.booleans(), label="shorten one stream"):
-            streams[data.draw(st.integers(0, 3))].pop()
-        initial = LabelStreams(*map(tuple, streams))
-        assert_agrees(initial, EMPTY_STREAMS, TupleBackground())
+                quadruples[i][field] = UNKNOWN
+        initial = tuple(map(tuple, quadruples))
+        assert_agrees(initial, (), TupleBackground())
         # A repeated example and one through a state the first reaches.
-        examples = [(initial, EMPTY_STREAMS), (initial.tails(), EMPTY_STREAMS),
-                    (initial, EMPTY_STREAMS)]
+        examples = [(initial, ()), (initial[1:], ()), (initial, ())]
         assert batched_learn_mismatches(examples, TupleBackground()) == []
 
 
@@ -306,7 +303,7 @@ class TestOnePassPerState:
         behaviours = generate_behaviours(observation_matrices(), solver_hypothesis)
         background = CountingBackground(TupleBackground())
         learn(controller_examples(behaviours), background, target="c")
-        # The 128 initial states, then the empty streams every one reaches.
+        # The 128 initial states, then the empty suffix every one reaches.
         assert sum(background.calls.values()) == 129
         assert len(background.calls) == 129
 
@@ -343,37 +340,37 @@ class TestSoundness:
         assert learnable == 7_636
 
 
-def assert_index_agrees_with_scan(initials, goal, background):
-    indexed = _top_program(initials, goal, background)
-    assert indexed == _top_program(initials, goal, MatchingBackground(background)), (initials, goal)
-    return indexed
+def assert_equality_agrees_with_unification(initials, goal, background):
+    tested = _top_program(initials, goal, background)
+    assert tested == _top_program(initials, goal, MatchingBackground(background)), (initials, goal)
+    return tested
 
 
-# Stream labels: each field's alphabet, UNKNOWN, and labels outside every
+# Suffix labels: each field's alphabet, UNKNOWN, and labels outside every
 # alphabet (``uuuu`` is no controller observation).
-STREAM_LABELS = st.sampled_from(CONTROLLER_STATES + OBSERVATION_LABELS[:4] + ACTION_LABELS
+SUFFIX_LABELS = st.sampled_from(CONTROLLER_STATES + OBSERVATION_LABELS[:4] + ACTION_LABELS
                                 + ("uuuu", "q4", UNKNOWN))
 
 
-def label_streams(max_len=3):
-    return st.builds(LabelStreams, *[st.lists(STREAM_LABELS, max_size=max_len).map(tuple)] * 4)
+def suffixes(max_len=3):
+    return st.lists(st.tuples(*[SUFFIX_LABELS] * 4), max_size=max_len).map(tuple)
 
 
-def behaviour_streams(with_unknown):
-    """Streams threading a chained behaviour of 1 to 3 well-formed tuples,
-    some labels replaced by UNKNOWN."""
+def behaviour_suffixes(with_unknown):
+    """A chained behaviour of 1 to 3 well-formed tuples as a suffix, some
+    labels replaced by UNKNOWN."""
     @st.composite
     def build(draw):
         q = draw(st.sampled_from(CONTROLLER_STATES))
-        streams = [[], [], [], []]
+        quadruples = []
         for _ in range(draw(st.integers(1, 3))):
             o = draw(st.sampled_from(OBSERVATION_LABELS))
             a = draw(st.sampled_from(ACTION_LABELS))
             q_next = draw(st.sampled_from(CONTROLLER_STATES))
-            for stream, label in zip(streams, (q, o, a, q_next)):
-                stream.append(UNKNOWN if with_unknown and draw(st.integers(0, 4)) == 0 else label)
+            quadruples.append(tuple(UNKNOWN if with_unknown and draw(st.integers(0, 4)) == 0
+                                    else label for label in (q, o, a, q_next)))
             q = q_next
-        return LabelStreams(*map(tuple, streams))
+        return tuple(quadruples)
     return build()
 
 
@@ -388,27 +385,27 @@ def yielded_states(initials, background):
     return seen
 
 
-class TestGoalIndex:
-    """A goal the background marks ``matches_only_equals`` is found by one
-    ``atoms_in`` lookup; it must give what the scan gives."""
+class TestGoalTest:
+    """A goal the background marks ``matches_only_equals`` is tested with
+    ``==``; it must give what ``unifies`` gives."""
 
     @settings(max_examples=300, deadline=None)
-    @given(initials=st.lists(st.one_of(behaviour_streams(False), behaviour_streams(True),
-                                       label_streams()), min_size=1, max_size=4),
-           goal=st.one_of(st.just(EMPTY_STREAMS), label_streams(max_len=2)))
-    def test_label_streams_index_agrees_with_the_scan(self, initials, goal):
+    @given(initials=st.lists(st.one_of(behaviour_suffixes(False), behaviour_suffixes(True),
+                                       suffixes()), min_size=1, max_size=4),
+           goal=st.one_of(st.just(()), suffixes(max_len=2)))
+    def test_suffix_equality_agrees_with_unification(self, initials, goal):
         background = TupleBackground()
-        assert background.matches_only_equals(goal) == (goal == EMPTY_STREAMS)
-        assert_index_agrees_with_scan(initials, goal, background)
+        assert background.matches_only_equals(goal) == (goal == ())
+        assert_equality_agrees_with_unification(initials, goal, background)
 
-    def test_the_controller_examples_index_agrees_with_the_scan(self, solver_hypothesis):
+    def test_the_controller_examples_equality_agrees_with_unification(self, solver_hypothesis):
         examples = controller_examples(generate_behaviours(observation_matrices(), solver_hypothesis))
         initials = [initial for initial, _ in examples]
-        identity, tailrec, reaching = assert_index_agrees_with_scan(
-            initials, EMPTY_STREAMS, TupleBackground())
+        identity, tailrec, reaching = assert_equality_agrees_with_unification(
+            initials, (), TupleBackground())
         assert len(identity) == 128 and not tailrec and reaching == set(initials)
 
-    def test_action_background_ground_goals_agree_with_the_scan(self):
+    def test_action_background_ground_goals_agree_with_unification(self):
         checked = reached_goal = 0
         grids = list(maps_of(3, 2))
         grids += [g for grid in grids[::5] for g in bound_instances([grid])]
@@ -419,33 +416,32 @@ class TestGoalIndex:
             for goal in ground:
                 assert background.matches_only_equals(goal)
                 for seeds in ([initials[0]], initials[::2], [generalized_example(grid.id).initial]):
-                    reaching = assert_index_agrees_with_scan(seeds, goal, background)[2]
+                    reaching = assert_equality_agrees_with_unification(seeds, goal, background)[2]
                     reached_goal += bool(reaching)
                     checked += 1
             assert not any(background.matches_only_equals(goal) for goal in unbound)
         assert (checked, reached_goal) == (4_986, 1_403)
 
     @settings(max_examples=300, deadline=None)
-    @given(initials=st.lists(st.one_of(behaviour_streams(True), label_streams()),
+    @given(initials=st.lists(st.one_of(behaviour_suffixes(True), suffixes()),
                              min_size=1, max_size=4),
-           goal=st.one_of(st.just(EMPTY_STREAMS), st.just(((), (), (), ())),
-                          label_streams(max_len=2)))
+           goal=st.one_of(st.just(()), suffixes(max_len=2)))
     def test_only_equals_goals_match_exactly_their_equals(self, initials, goal):
         """Over the drawn goal and the ground goals that unify with a yielded
         state holding UNKNOWN."""
         background = TupleBackground()
         states = yielded_states(initials, background)
-        goals = [goal] + [LabelStreams(*[tuple("q0" if label is UNKNOWN else label for label in stream)
-                                         for stream in state]) for state in states]
+        goals = [goal] + [tuple(tuple("q0" if label is UNKNOWN else label for label in quadruple)
+                                for quadruple in state) for state in states]
         for candidate in goals:
             if background.matches_only_equals(candidate):
                 for state in states:
-                    assert state.matches(candidate) == (state == candidate), (state, candidate)
+                    assert unifies(state, candidate) == (state == candidate), (state, candidate)
 
 
 class TestNoRepeatedWork:
     """Count guards, as ``TestValueObjectChurn``: controller learning
-    validates no tuple it has seen and tests no state against a ground goal."""
+    validates no tuple it has seen and unifies no state with a ground goal."""
 
     def test_warm_learn_controller_builds_no_controller_tuples(self, monkeypatch, solver_hypothesis):
         expected = learn_controller(solver_hypothesis)
@@ -455,14 +451,12 @@ class TestNoRepeatedWork:
 
     def test_ground_goal_top_program_makes_no_matches_calls(self, monkeypatch, solver_hypothesis):
         examples = controller_examples(generate_behaviours(observation_matrices(), solver_hypothesis))
-        streams_matched = count_calls(monkeypatch, LabelStreams, "matches")
-        terms_matched = count_calls(monkeypatch, StateTerm, "matches")
-        _top_program([initial for initial, _ in examples], EMPTY_STREAMS, TupleBackground())
+        unified = count_calls(monkeypatch, mil, "unifies")
+        _top_program([initial for initial, _ in examples], (), TupleBackground())
         grid = fixture_map("maze_a")
         problem = problem_from_map(grid)
         assert prove(problem.initial, problem.goal, ActionBackground(grid))
-        assert streams_matched == [] and terms_matched == []
-        # The scan, for contrast, tests every reached state.
-        _top_program([initial for initial, _ in examples], EMPTY_STREAMS,
-                     MatchingBackground(TupleBackground()))
-        assert len(streams_matched) == 129
+        assert unified == []
+        # Unification, for contrast, tests every reached state.
+        _top_program([initial for initial, _ in examples], (), MatchingBackground(TupleBackground()))
+        assert len(unified) == 129

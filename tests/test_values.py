@@ -207,7 +207,6 @@ class OldRunOutcome:
 class OldExperimentReport:
     spec: ExperimentSpec
     records: tuple
-    outcomes: dict = dataclasses.field(default_factory=dict, repr=False)
 
 
 OLD = {

@@ -13,7 +13,6 @@ from gridnav import (
     AGENTS,
     CONTROLLER_STATES,
     ExecutorError,
-    LabelStreams,
     ExperimentSpec,
     actions_to_text,
     experiment_instances,
@@ -150,11 +149,13 @@ class TestExperiments:
 
         spec = ExperimentSpec("fsc-re", "maze", 9, 9, 3, seed=7)
         report = run_experiment(spec, solver=solver_hypothesis, controller=learned_controller)
-        instances = dict(experiment_instances(spec))
-        for record in report.records:
-            run = report.outcomes[record.instance]
-            assert record.outcome == "solved"
-            assert playback(instances[record.instance], run.labels)[0]
+        instances = experiment_instances(spec)
+        assert [record.instance for record in report.records] == [name for name, _ in instances]
+        for record, (_, grid) in zip(report.records, instances):
+            run = run_single(spec.agent, grid, controller=learned_controller)
+            assert record.outcome == run.outcome == "solved"
+            assert record.steps == run.steps
+            assert playback(grid, run.labels)[0]
 
     def test_unknown_agent(self, maze_a):
         with pytest.raises(ValueError):
@@ -170,19 +171,16 @@ class TestExperiments:
 
     def test_controller_examples_rebase_each_behaviour(self, solver_hypothesis):
         # The examples are each behaviour's goal once per incoming controller
-        # state, as a per-state encoding of the whole behaviour gives them.
+        # state: the whole behaviour as a suffix of (q, o, a, q') labels, its
+        # first controller state replaced, to the empty suffix.
         behaviours = generate_behaviours(observation_matrices(), solver_hypothesis)
         assert len(behaviours) == 32
         expected = []
         for behaviour in behaviours:
             for q in CONTROLLER_STATES:
-                initial = LabelStreams(
-                    (q,) + tuple(t.q for t in behaviour[1:]),
-                    tuple(t.o for t in behaviour),
-                    tuple(t.a for t in behaviour),
-                    tuple(t.q_next for t in behaviour),
-                )
-                expected.append((initial, LabelStreams((), (), (), ())))
+                initial = tuple((q if i == 0 else t.q, t.o, t.a, t.q_next)
+                                for i, t in enumerate(behaviour))
+                expected.append((initial, ()))
         assert controller_examples(behaviours) == expected
 
 
