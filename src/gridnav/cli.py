@@ -35,41 +35,29 @@ def _load_map(spec: str) -> GridMap:
     raise MapError(f"no such map file or fixture: {spec!r}")
 
 
-def _cmd_gen(args) -> int:
-    if args.kind == "maze":
-        grid = generate_maze(args.width, args.height, args.seed)
-    else:
-        grid = generate_lake(args.width, args.height, args.seed)
-    text = serialize_map(grid)
+def _write(args, text: str, what: str) -> int:
+    """Write a command's text to ``--out`` and say so, or else to stdout."""
     if args.out:
         Path(args.out).write_text(text)
-        print(f"wrote {args.kind} map {grid.width}x{grid.height} to {args.out}")
+        print(f"wrote {what} to {args.out}")
     else:
         print(text, end="")
     return 0
+
+
+def _cmd_gen(args) -> int:
+    grid = (generate_maze if args.kind == "maze" else generate_lake)(args.width, args.height, args.seed)
+    return _write(args, serialize_map(grid), f"{args.kind} map {grid.width}x{grid.height}")
 
 
 def _cmd_learn_solver(args) -> int:
     hypothesis = learn_solver()
-    text = hypothesis.to_text()
-    if args.out:
-        Path(args.out).write_text(text)
-        print(f"wrote {len(hypothesis)}-clause solver to {args.out}")
-    else:
-        print(text, end="")
-    return 0
+    return _write(args, hypothesis.to_text(), f"{len(hypothesis)}-clause solver")
 
 
 def _cmd_learn_fsc(args) -> int:
-    solver = Hypothesis.from_text(Path(args.solver).read_text())
-    controller = learn_controller(solver)
-    text = controller.to_text()
-    if args.out:
-        Path(args.out).write_text(text)
-        print(f"wrote {len(controller.tuples)}-tuple controller to {args.out}")
-    else:
-        print(text, end="")
-    return 0
+    controller = learn_controller(Hypothesis.from_text(Path(args.solver).read_text()))
+    return _write(args, controller.to_text(), f"{len(controller.tuples)}-tuple controller")
 
 
 def _cmd_run(args) -> int:

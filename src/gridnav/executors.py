@@ -171,9 +171,12 @@ class ExecutionResult(Record):
         return "\n".join(lines) + "\n"
 
 
-def _trail_within_budget(env) -> tuple[Coord, ...]:
-    """The environment's trail without the move that overran the budget."""
-    return getattr(env, "trail", ())[:-1]
+def _result(outcome: str, trace, env, slam: SlamMap | None) -> ExecutionResult:
+    """A run's result: its steps are the trace's length, and its path is the
+    environment's trail, without the move that overran a budget."""
+    trace = tuple(trace)
+    trail = getattr(env, "trail", ())[:-1 if outcome == BUDGET_EXCEEDED else None]
+    return ExecutionResult(outcome, len(trace), trace, trail, slam)
 
 
 def run_backtracking(fsc: FSC, env, cfg: ExecutorConfig) -> ExecutionResult:
@@ -225,16 +228,13 @@ def run_backtracking(fsc: FSC, env, cfg: ExecutorConfig) -> ExecutionResult:
             continue
         moves_left -= 1
         if moves_left < 0:
-            kept = kept_trace(stack[:-1])
-            return ExecutionResult(BUDGET_EXCEEDED, len(kept), kept,
-                                   _trail_within_budget(env), slam)
+            return _result(BUDGET_EXCEEDED, kept_trace(stack[:-1]), env, slam)
         obs2, at_goal = result
         if slam is not None:
             slam_move(slam, a)
             slam_update(slam, obs2)
         if at_goal:
-            trace = kept_trace(stack)
-            return ExecutionResult(SOLVED, len(trace), trace, getattr(env, "trail", ()), slam)
+            return _result(SOLVED, kept_trace(stack), env, slam)
         at = checkpoint()
         if visited is not None:
             if at in visited:
@@ -242,7 +242,7 @@ def run_backtracking(fsc: FSC, env, cfg: ExecutorConfig) -> ExecutionResult:
             visited.add(at)
         stack.append([q_next, obs2, at, slam.pose if slam is not None else None,
                       lookup(q_next, obs2), 0])
-    return ExecutionResult(EXHAUSTED, 0, (), getattr(env, "trail", ()), slam)
+    return _result(EXHAUSTED, (), env, slam)
 
 
 def run_reversing(fsc: FSC, env, cfg: ExecutorConfig) -> ExecutionResult:
@@ -279,9 +279,7 @@ def run_reversing(fsc: FSC, env, cfg: ExecutorConfig) -> ExecutionResult:
             continue
         moves_left -= 1
         if moves_left < 0:
-            return ExecutionResult(
-                BUDGET_EXCEEDED, len(trace), tuple(trace), _trail_within_budget(env), slam,
-            )
+            return _result(BUDGET_EXCEEDED, trace, env, slam)
         obs2, at_goal = result
         if slam is not None:
             slam_move(slam, a)
@@ -289,9 +287,7 @@ def run_reversing(fsc: FSC, env, cfg: ExecutorConfig) -> ExecutionResult:
         trace.append(tuple.__new__(TraceStep, (q, obs, a, q_next, not forward)))
         q, obs = q_next, obs2
         if at_goal:
-            return ExecutionResult(
-                SOLVED, len(trace), tuple(trace), getattr(env, "trail", ()), slam,
-            )
+            return _result(SOLVED, trace, env, slam)
         if forward:
             reversal = _REVERSAL[a]
             stack.append(reversal)
@@ -299,7 +295,7 @@ def run_reversing(fsc: FSC, env, cfg: ExecutorConfig) -> ExecutionResult:
             for a, q_next in reversed(lookup(q, obs)):
                 if a != back:
                     stack.append((True, a, q_next))
-    return ExecutionResult(EXHAUSTED, len(trace), tuple(trace), getattr(env, "trail", ()), slam)
+    return _result(EXHAUSTED, trace, env, slam)
 
 
 def execute(fsc: FSC, env, cfg: ExecutorConfig) -> ExecutionResult:

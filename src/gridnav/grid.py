@@ -18,7 +18,6 @@ START = "s"
 END = "e"
 TILE_KINDS = frozenset((FLOOR, WALL, START, END))
 PASSABLE_TILES = frozenset((FLOOR, START, END))
-_NO_TILES = str.maketrans("", "", "".join(TILE_KINDS))
 
 # Canonical direction order: up, right, down, left.  Observation labels,
 # controller lookups and action alphabets all use this order.
@@ -74,27 +73,23 @@ class GridMap(FrozenRecord):
             raise MapError(f"map {id!r}: dimensions must be positive")
         if len(tiles) != height or any(len(r) != width for r in tiles):
             raise MapError(f"map {id!r}: tile array does not match declared dimensions")
-        # Joined by a non-kind, the n tiles are all one-character kinds exactly
-        # when the text has 2n - 1 characters and its even places translate away.
-        try:
-            cells = "|".join(map("|".join, tiles))
-        except TypeError:
-            cells = ""
-        if len(cells) != 2 * width * height - 1 or cells[::2].translate(_NO_TILES):
-            bad = next(t for row in tiles for t in row if t not in TILE_KINDS)
-            raise MapError(f"map {id!r}: unknown tile kind {bad!r}")
-        cells = cells[::2]
+        for row in tiles:
+            for tile in row:
+                if tile not in TILE_KINDS:
+                    raise MapError(f"map {id!r}: unknown tile kind {tile!r}")
+        cells = "".join(map("".join, tiles))
         if cells.count(START) > 1 or cells.count(END) > 1:
             raise MapError(f"map {id!r}: multiple start or end tiles")
         start, end = cells.find(START), cells.find(END)
-        set_field = object.__setattr__
-        set_field(self, "id", id)
-        set_field(self, "width", width)
-        set_field(self, "height", height)
-        set_field(self, "tiles", tiles)
-        set_field(self, "start", Coord(start % width, start // width) if start >= 0 else None)
-        set_field(self, "end", Coord(end % width, end // width) if end >= 0 else None)
-        set_field(self, "label_cache", [None] * (width * height))
+        self._set(id, width, height, tiles,
+                  Coord(start % width, start // width) if start >= 0 else None,
+                  Coord(end % width, end // width) if end >= 0 else None, [None] * (width * height))
+
+    def _set(self, *values) -> "GridMap":
+        """Set the seven slots, in ``__slots__`` order; returns the map."""
+        for name, value in zip(GridMap.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+        return self
 
     @classmethod
     def from_rows(cls, map_id: str, rows_top_first: Sequence[str]) -> "GridMap":
@@ -187,16 +182,9 @@ def with_endpoints(grid: GridMap, start: Coord, end: Coord) -> GridMap:
             raise MapError(f"cannot place {kind!r} on unpassable cell {c!r}")
         row = rows[c.y] = list(rows[c.y])
         row[c.x] = kind
-    moved = object.__new__(GridMap)
-    set_field = object.__setattr__
-    set_field(moved, "id", grid.id)
-    set_field(moved, "width", grid.width)
-    set_field(moved, "height", grid.height)
-    set_field(moved, "tiles", tuple(map(tuple, rows)))
-    set_field(moved, "start", Coord(start.x, start.y))
-    set_field(moved, "end", Coord(end.x, end.y))
-    set_field(moved, "label_cache", grid.label_cache)
-    return moved
+    return object.__new__(GridMap)._set(grid.id, grid.width, grid.height, tuple(map(tuple, rows)),
+                                        Coord(start.x, start.y), Coord(end.x, end.y),
+                                        grid.label_cache)
 
 
 def _place_endpoints(rows: list[list[str]], map_id: str, width: int, height: int,

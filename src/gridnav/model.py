@@ -5,12 +5,14 @@ position.  Each ordered pair of adjacent passable cells is one ground step
 action, the atom ``step_<direction>(input, output)``.  ``ActionBackground``
 reads these atoms off the map's tiles per query, as (name, output) pairs:
 planning asks it at bound positions, learning at an unbound one.
+An unbound query is built from the bound one: it asks every cell in turn.
 ``GroundAction`` values are built only for the map's action listing,
 ``instantiate_actions``, and for a plan's own steps.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .grid import DELTA, DIRECTIONS, PASSABLE_TILES, Coord, GridMap
@@ -99,14 +101,7 @@ def instantiate_actions(grid: GridMap) -> tuple[GroundAction, ...]:
     by direction, with tile kinds read from the map; sorted by name, then
     input position.  It is the map's action listing, read off the
     background's bound queries."""
-    background = ActionBackground(grid)
-    actions = []
-    for pos in sorted(grid.passable_cells()):
-        here = StateTerm(grid.id, pos, grid.tile_at(pos))
-        actions.extend(GroundAction(name, here, nxt) for name, nxt in background.successors(here))
-    # Cells in Coord order; the stable sort by name keeps it per name.
-    actions.sort(key=lambda a: a.name)
-    return tuple(actions)
+    return tuple(GroundAction(*step) for step in ActionBackground(grid)._listing(UNKNOWN))
 
 
 def generalized_example(map_id: str) -> PlanningProblem:
@@ -146,10 +141,11 @@ class ActionBackground:
 
     ``successors(state)`` yields (name, output state) for every step action
     whose input state unifies with the query.  At a bound position these are
-    the steps to its passable neighbors, in sorted action-name order; at an
-    UNKNOWN position they are all such steps of the map out of a cell whose
-    tile unifies, in the order of ``instantiate_actions``: by name, then
-    input position.
+    the steps to its passable neighbors, in sorted action-name order.  An
+    UNKNOWN position is built from the bound one: it asks every cell with
+    the query's tile, cells in ``Coord`` order, and stably sorts the steps
+    by name.  That is the order of ``instantiate_actions``, which lists the
+    same steps with their input states: by name, then input position.
 
     Each passable cell's output ``StateTerm`` and ``Coord`` are built on
     first reach and kept in a flat list indexed by ``y * width + x``, so
@@ -174,21 +170,10 @@ class ActionBackground:
         state_map_id, pos, state_tile = state
         if state_map_id != map_id:
             return
-        width, height, tiles, states = grid.width, grid.height, grid.tiles, self._states
         if pos is UNKNOWN:
-            cells = [(x, y) for x in range(width) for y in range(height)
-                     if tiles[y][x] in PASSABLE_TILES and (state_tile is UNKNOWN or state_tile == tiles[y][x])]
-            for name, dx, dy in _STEPS:
-                for x, y in cells:
-                    nx, ny = x + dx, y + dy
-                    if 0 <= nx < width and 0 <= ny < height and tiles[ny][nx] in PASSABLE_TILES:
-                        i = ny * width + nx
-                        nxt = states[i]
-                        if nxt is None:
-                            nxt = states[i] = _new_tuple(
-                                StateTerm, (map_id, _new_tuple(Coord, (nx, ny)), tiles[ny][nx]))
-                        yield name, nxt
+            yield from ((name, nxt) for name, _, nxt in self._listing(state_tile))
             return
+        width, height, tiles, states = grid.width, grid.height, grid.tiles, self._states
         x, y = pos
         if not (0 <= x < width and 0 <= y < height):
             return
@@ -206,3 +191,18 @@ class ActionBackground:
                         nxt = states[i] = _new_tuple(
                             StateTerm, (map_id, _new_tuple(Coord, (nx, ny)), nxt_tile))
                     yield name, nxt
+
+    def _listing(self, tile) -> list:
+        """(name, input state, output state) of every step out of a cell
+        whose tile unifies with ``tile``: each cell's bound query, cells in
+        ``Coord`` order, stably sorted by action name.  A query that yields
+        a step is its input state: a bound ``tile`` is the cell's tile."""
+        grid = self.grid
+        listing = []
+        for x in range(grid.width):
+            for y in range(grid.height):
+                here = _new_tuple(StateTerm, (grid.id, _new_tuple(Coord, (x, y)),
+                                              grid.tiles[y][x] if tile is UNKNOWN else tile))
+                listing += [(name, here, nxt) for name, nxt in self.successors(here)]
+        listing.sort(key=itemgetter(0))
+        return listing

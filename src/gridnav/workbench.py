@@ -6,7 +6,8 @@ from __future__ import annotations
 import csv
 import io
 import random
-from typing import NamedTuple
+from itertools import starmap
+from typing import Iterator, NamedTuple
 
 from .executors import (
     BACKTRACKING,
@@ -208,33 +209,37 @@ def experiment_instances(spec: ExperimentSpec) -> list[tuple[str, GridMap]]:
     """The seeded instance set for a spec; identical across agents.  Lake
     instances reroll the endpoints of the packaged lake fixtures, so a lake
     spec must name their dimensions."""
-    instances: list[tuple[str, GridMap]] = []
+    return list(_instance_stream(spec))
+
+
+def _instance_stream(spec: ExperimentSpec) -> Iterator[tuple[str, GridMap]]:
+    """Check the spec at the call, then build its instances one at a time, as
+    they are iterated."""
     if spec.environment == "maze":
-        for i in range(spec.instances):
-            grid = generate_maze(spec.width, spec.height, seed=spec.seed * 100_003 + i)
-            instances.append((f"maze-{i:03d}", grid))
-    elif spec.environment == "lake":
-        fixtures = [fixture_map(name) for name in lake_fixture_names()]
-        for fixture in fixtures:
-            if (fixture.width, fixture.height) != (spec.width, spec.height):
-                raise ValueError(f"lake instances are the packaged fixtures; "
-                                 f"{fixture.id} is not {spec.width}x{spec.height}")
-        fixtures = [(fixture, sorted(fixture.passable_cells())) for fixture in fixtures]
-        for i in range(spec.instances):
-            fixture, cells = fixtures[i % len(fixtures)]
-            rng = random.Random(spec.seed * 1_000_003 + i)
-            start, end = rng.sample(cells, 2)
-            grid = with_endpoints(fixture, start, end)
-            instances.append((f"{fixture.id}-{i:03d}", grid))
-    else:
+        return ((f"maze-{i:03d}", generate_maze(spec.width, spec.height, seed=spec.seed * 100_003 + i))
+                for i in range(spec.instances))
+    if spec.environment != "lake":
         raise ValueError(f"unknown environment {spec.environment!r}")
-    return instances
+    fixtures = [fixture_map(name) for name in lake_fixture_names()]
+    for fixture in fixtures:
+        if (fixture.width, fixture.height) != (spec.width, spec.height):
+            raise ValueError(f"lake instances are the packaged fixtures; "
+                             f"{fixture.id} is not {spec.width}x{spec.height}")
+    fixtures = [(fixture, sorted(fixture.passable_cells())) for fixture in fixtures]
+
+    def lake(i: int) -> tuple[str, GridMap]:
+        fixture, cells = fixtures[i % len(fixtures)]
+        start, end = random.Random(spec.seed * 1_000_003 + i).sample(cells, 2)
+        return f"{fixture.id}-{i:03d}", with_endpoints(fixture, start, end)
+
+    return map(lake, range(spec.instances))
 
 
 def run_experiment(spec: ExperimentSpec, *, solver: Hypothesis | None = None,
                    controller: FSC | None = None) -> ExperimentReport:
     """Run the agent over the spec's instance set and aggregate a report row
-    plus per-instance records; the runs themselves are not kept.  A spec naming an unknown agent or
+    plus per-instance records.  Each instance is built just before its run,
+    and neither is kept past it.  A spec naming an unknown agent or
     environment, fewer than one instance, or a step budget its agent
     rejects raises before anything is learned."""
     if spec.agent not in AGENTS:
@@ -244,16 +249,15 @@ def run_experiment(spec: ExperimentSpec, *, solver: Hypothesis | None = None,
     if spec.agent == SOLVER and spec.step_budget is not None:
         raise ValueError(_SOLVER_BUDGET_ERROR)
     ExecutorConfig(step_budget=spec.step_budget)  # raises ExecutorError on a negative budget
-    instances = experiment_instances(spec)
+    instances = _instance_stream(spec)
     if spec.agent == SOLVER:
         solver = solver if solver is not None else learn_solver()
     elif controller is None:
         controller = learn_controller(solver if solver is not None else learn_solver())
-    records = []
-    for name, grid in instances:
-        run = run_single(
-            spec.agent, grid, solver=solver, controller=controller,
-            step_budget=spec.step_budget,
-        )
-        records.append(InstanceRecord(name, spec.agent, run.outcome, run.steps))
-    return ExperimentReport(spec, tuple(records))
+
+    def record(name: str, grid: GridMap) -> InstanceRecord:
+        run = run_single(spec.agent, grid, solver=solver, controller=controller,
+                         step_budget=spec.step_budget)
+        return InstanceRecord(name, spec.agent, run.outcome, run.steps)
+
+    return ExperimentReport(spec, tuple(starmap(record, instances)))

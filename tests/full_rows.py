@@ -11,13 +11,14 @@ repository root:
 
     PYTHONPATH=src python tests/full_rows.py
 
-It prints each row's digest and whether it matches, and exits 1 if any
-row differs.
+It prints each row's digest and whether it matches, then the process's
+peak RSS, and exits 1 if any row differs.
 """
 
 from __future__ import annotations
 
 import hashlib
+import resource
 import sys
 import time
 
@@ -68,6 +69,8 @@ def main() -> int:
         ok = ROW_DIGESTS.get((spec.environment, spec.agent)) == digest
         failed += not ok
         print(f"{spec.environment:<5} {spec.agent:<12} {digest} {'ok' if ok else 'DIFFERS'}")
+    # ru_maxrss is in KiB on Linux.
+    print(f"peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} MB")
     print(f"{len(full_specs())} rows, {failed} differing, {time.perf_counter() - began:.1f} s")
     return 1 if failed else 0
 

@@ -166,6 +166,13 @@ class TestActionBackground:
             expected = expected_successors(actions, from_start)
             assert len(expected) == (len(neighbors(grid, grid.start)) if grid.start else 0)
             assert list(background.successors(from_start)) == expected
+            # The other tile kinds: floor and end tiles have steps out of
+            # them, where the map has such a tile; a wall has none.
+            for tile, some in (("f", True), ("e", grid.end is not None), ("w", False)):
+                query = StateTerm(grid.id, UNKNOWN, tile)
+                expected = expected_successors(actions, query)
+                assert bool(expected) == some, (grid.id, tile)
+                assert list(background.successors(query)) == expected, (grid.id, tile)
             other = StateTerm("other", UNKNOWN, UNKNOWN)
             assert list(background.successors(other)) == []
 

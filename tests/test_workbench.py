@@ -30,6 +30,7 @@ from gridnav import (
     zero_map,
 )
 from gridnav import workbench
+from gridnav.cli import main as cli_main
 from gridnav.workbench import REPORT_HEADER, controller_examples
 
 from test_fsc import tuple_universe
@@ -117,7 +118,10 @@ class TestExperiments:
         def working(*args, **kwargs):
             raise AssertionError("built instances or learned before the budget was checked")
 
-        for name in ("experiment_instances", "learn_solver", "learn_controller"):
+        # Instances are built lazily, as the runs take them, so the guard
+        # replaces what builds them: the fixtures, mazes and endpoint copies.
+        for name in ("experiment_instances", "fixture_map", "generate_maze", "with_endpoints",
+                     "learn_solver", "learn_controller"):
             monkeypatch.setattr(workbench, name, working)
         with pytest.raises(error, match=f"^{message}$"):
             run_experiment(spec)
@@ -262,6 +266,27 @@ class TestCli:
         lake = parse_map(out.read_text(), "l")
         cells = lake.passable_cells()
         assert connected_component(lake, cells[0]) == set(cells)
+
+    @pytest.mark.parametrize("command", ["gen", "learn-solver", "learn-fsc"])
+    def test_writing_commands_print_the_text_or_one_line(self, tmp_path, capsys, command,
+                                                          solver_hypothesis, learned_controller):
+        """Without --out a command prints its text; with it, the file holds
+        the text and the command prints one line saying what it wrote."""
+        solver = tmp_path / "solver.pl"
+        solver.write_text(solver_hypothesis.to_text())
+        argv, text, wrote = {
+            "gen": (["gen", "maze", "21", "21", "--seed", "7"],
+                    serialize_map(generate_maze(21, 21, 7)), "maze map 21x21"),
+            "learn-solver": (["learn-solver"], solver_hypothesis.to_text(), "8-clause solver"),
+            "learn-fsc": (["learn-fsc", str(solver)], learned_controller.to_text(),
+                          "128-tuple controller"),
+        }[command]
+        assert cli_main(argv) == 0
+        assert capsys.readouterr().out == text
+        out = tmp_path / "out.txt"
+        assert cli_main([*argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote {wrote} to {out}\n"
+        assert out.read_text() == text
 
     def test_gen_even_width_usage_error(self):
         result = run_cli("gen", "maze", "20", "21")
