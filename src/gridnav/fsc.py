@@ -12,16 +12,16 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterable, NamedTuple
 
-from .grid import DIRECTIONS, OPPOSITE, PASSABLE_TILES, Coord, GridMap, MapError
+from .grid import DIRECTIONS, OPPOSITE, PASSABLE_TILES, Coord, GridMap, MapError, blocked
 from .record import FrozenRecord
 
 CONTROLLER_STATES = ("q0", "q1", "q2", "q3")
 ACTION_LABELS = DIRECTIONS
-# Every p/u label, indexed by its blocked directions: 8 for up, 4 right,
-# 2 down, 1 left.  ``observe`` returns these strings, so every observation
-# of one label is the one shared string.  All 16 can cross the controller
-# boundary; ``uuuu`` (a cell with no passable neighbour) is the last, and
-# the 15 others are the controller's observation alphabet.
+# Every p/u label, indexed by its ``grid.blocked`` mask: ``u`` marks a blocked
+# side.  ``observe`` returns these strings, so every observation of one label
+# is the one shared string.  All 16 can cross the controller boundary;
+# ``uuuu`` (a cell with no passable neighbour) is the last, and the 15 others
+# are the controller's observation alphabet.
 _LABELS = tuple("".join(chars) for chars in product("pu", repeat=4))
 OBSERVATION_LABELS = _LABELS[:-1]
 
@@ -40,22 +40,15 @@ class FSCError(ValueError):
 def observe(grid: GridMap, pos: Coord) -> str:
     """Observation label at ``pos``: one character per direction (up, right,
     down, left), ``p`` if that neighbor is passable and ``u`` otherwise.
-    Off-map neighbors read as unpassable.  A cell with no passable neighbor
-    observes ``uuuu``, which is in no controller's alphabet."""
+    Off-map neighbors read as unpassable: the label is the planner's neighbour
+    rule, ``grid.blocked``.  A cell with no passable neighbor observes
+    ``uuuu``, which is in no controller's alphabet."""
     x, y = pos
-    width, height, tiles = grid.width, grid.height, grid.tiles
-    if not (0 <= x < width and 0 <= y < height):
+    if not (0 <= x < grid.width and 0 <= y < grid.height):
         raise MapError(f"map {grid.id!r}: observation position {pos!r} out of bounds")
-    row = tiles[y]
-    if row[x] not in PASSABLE_TILES:
+    if grid.tiles[y][x] not in PASSABLE_TILES:
         raise MapError(f"map {grid.id!r}: observation position {pos!r} is unpassable")
-    # Neighbors in DIRECTIONS order: up (y + 1), right, down (y - 1), left.
-    return _LABELS[
-        (0 if y + 1 < height and tiles[y + 1][x] in PASSABLE_TILES else 8)
-        + (0 if x + 1 < width and row[x + 1] in PASSABLE_TILES else 4)
-        + (0 if y > 0 and tiles[y - 1][x] in PASSABLE_TILES else 2)
-        + (0 if x > 0 and row[x - 1] in PASSABLE_TILES else 1)
-    ]
+    return _LABELS[blocked(grid, x, y)]
 
 
 _Labels = NamedTuple("_Labels", [("q", str), ("o", str), ("a", str), ("q_next", str)])

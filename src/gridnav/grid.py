@@ -24,6 +24,8 @@ PASSABLE_TILES = frozenset((FLOOR, START, END))
 DIRECTIONS = ("up", "right", "down", "left")
 DELTA = {"up": (0, 1), "right": (1, 0), "down": (0, -1), "left": (-1, 0)}
 OPPOSITE = {"up": "down", "down": "up", "left": "right", "right": "left"}
+# Each side's bit in a ``blocked`` mask: 8 up, 4 right, 2 down, 1 left.
+BLOCKED_BIT = {d: 8 >> i for i, d in enumerate(DIRECTIONS)}
 
 GLYPHS = {FLOOR: ".", WALL: "#", START: "S", END: "E"}
 ARROWS = {"up": "^", "right": ">", "down": "v", "left": "<"}
@@ -120,6 +122,17 @@ class GridMap(FrozenRecord):
         if self.start is None or self.end is None:
             raise MapError(f"map {self.id!r}: needs both a start and an end tile")
         return self.start, self.end
+
+
+def blocked(grid: GridMap, x: int, y: int) -> int:
+    """The one neighbour rule: the sum of ``BLOCKED_BIT`` over the sides of
+    in-bounds cell x/y whose neighbour is off the map or unpassable."""
+    height, width, tiles = grid.height, grid.width, grid.tiles
+    row = tiles[y]
+    return ((0 if y + 1 < height and tiles[y + 1][x] in PASSABLE_TILES else 8)
+            + (0 if x + 1 < width and row[x + 1] in PASSABLE_TILES else 4)
+            + (0 if y > 0 and tiles[y - 1][x] in PASSABLE_TILES else 2)
+            + (0 if x > 0 and row[x - 1] in PASSABLE_TILES else 1))
 
 
 def parse_map(text: str, map_id: str) -> GridMap:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
-from .grid import DELTA, DIRECTIONS, PASSABLE_TILES, Coord, GridMap
+from .grid import BLOCKED_BIT, DELTA, DIRECTIONS, PASSABLE_TILES, Coord, GridMap, blocked
 
 
 class _Unknown:
@@ -132,20 +132,22 @@ def actions_to_text(actions: Iterable[GroundAction]) -> str:
 # Builds a NamedTuple that validates nothing without its Python-level __new__.
 _new_tuple = tuple.__new__
 
-# (action name, dx, dy) in sorted action-name order: down, left, right, up.
-_STEPS = tuple(sorted((action_name(d), *DELTA[d]) for d in DIRECTIONS))
+# Per ``blocked`` mask, the (action name, dx, dy) of each open side, in
+# sorted action-name order: down, left, right, up.
+_STEPS = tuple(tuple(sorted((action_name(d), *DELTA[d]) for d in DIRECTIONS
+                            if not mask & BLOCKED_BIT[d])) for mask in range(16))
 
 
 class ActionBackground:
     """The ground step actions of one map, read off its tiles per query.
 
     ``successors(state)`` yields (name, output state) for every step action
-    whose input state unifies with the query.  At a bound position these are
-    the steps to its passable neighbors, in sorted action-name order.  An
-    UNKNOWN position is built from the bound one: it asks every cell with
-    the query's tile, cells in ``Coord`` order, and stably sorts the steps
-    by name.  That is the order of ``instantiate_actions``, which lists the
-    same steps with their input states: by name, then input position.
+    whose input state unifies with the query.  At a bound passable cell these
+    are the steps through the sides that ``grid.blocked``, the rule of
+    ``observe``, leaves open, in sorted action-name order.  An UNKNOWN
+    position asks every cell with the query's tile, cells in ``Coord`` order,
+    and stably sorts the steps by name: the order of ``instantiate_actions``,
+    which lists them with their input states, by name, then input position.
 
     Each passable cell's output ``StateTerm`` and ``Coord`` are built on
     first reach and kept in a flat list indexed by ``y * width + x``, so
@@ -180,17 +182,14 @@ class ActionBackground:
         tile = tiles[y][x]
         if tile not in PASSABLE_TILES or not (state_tile is UNKNOWN or state_tile == tile):
             return
-        for name, dx, dy in _STEPS:
+        for name, dx, dy in _STEPS[blocked(grid, x, y)]:
             nx, ny = x + dx, y + dy
-            if 0 <= nx < width and 0 <= ny < height:
-                nxt_tile = tiles[ny][nx]
-                if nxt_tile in PASSABLE_TILES:
-                    i = ny * width + nx
-                    nxt = states[i]
-                    if nxt is None:
-                        nxt = states[i] = _new_tuple(
-                            StateTerm, (map_id, _new_tuple(Coord, (nx, ny)), nxt_tile))
-                    yield name, nxt
+            i = ny * width + nx
+            nxt = states[i]
+            if nxt is None:
+                nxt = states[i] = _new_tuple(
+                    StateTerm, (map_id, _new_tuple(Coord, (nx, ny)), tiles[ny][nx]))
+            yield name, nxt
 
     def _listing(self, tile) -> list:
         """(name, input state, output state) of every step out of a cell

@@ -11,8 +11,10 @@ repository root:
 
     PYTHONPATH=src python tests/full_rows.py
 
-It prints each row's digest and whether it matches, then the process's
-peak RSS, and exits 1 if any row differs.
+It prints each row's digest, whether it matches and the row's seconds, then
+the process's peak RSS, and exits 1 if any row differs.  No benchmark
+workload runs mazes, so the maze rows' seconds are where a cost to the
+maze planner shows.
 """
 
 from __future__ import annotations
@@ -65,10 +67,13 @@ def main() -> int:
     controller = learn_controller(solver)
     failed = 0
     for spec in full_specs():
+        row_began = time.perf_counter()
         digest = row_digest(spec, solver, controller)
+        seconds = time.perf_counter() - row_began
         ok = ROW_DIGESTS.get((spec.environment, spec.agent)) == digest
         failed += not ok
-        print(f"{spec.environment:<5} {spec.agent:<12} {digest} {'ok' if ok else 'DIFFERS'}")
+        print(f"{spec.environment:<5} {spec.agent:<12} {digest} {'ok' if ok else 'DIFFERS'}"
+              f" {seconds:.1f} s")
     # ru_maxrss is in KiB on Linux.
     print(f"peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} MB")
     print(f"{len(full_specs())} rows, {failed} differing, {time.perf_counter() - began:.1f} s")

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from gridnav import (
     OBSERVATION_LABELS,
     ActionBackground,
     Coord,
+    GridMap,
     GroundAction,
     StateTerm,
     UNKNOWN,
@@ -20,6 +23,7 @@ from gridnav import (
     instantiate_actions,
     lake_fixture_names,
     learn_solver,
+    observe,
     parse_map,
     problem_from_map,
     zero_map,
@@ -27,6 +31,7 @@ from gridnav import (
 from gridnav.model import action_name, unifies
 
 from test_executors import count_calls
+from test_fsc import reference_observe
 from test_grid import adjacency_edges, neighbors
 from test_mil import SOLVER_TEXT
 
@@ -118,17 +123,67 @@ def expected_successors(actions, state):
     return [(a.name, a.output) for a in actions if unifies(a.input, state)]
 
 
+def actions_by_input(actions):
+    """The actions grouped by input position, each group in listing order.
+    A query at a bound position cannot unify with an action whose input
+    position differs, so scanning the query's group finds every match
+    (checked against the full scan by
+    ``test_grouping_by_input_position_keeps_every_match``)."""
+    groups = {}
+    for a in actions:
+        groups.setdefault(a.input.pos, []).append(a)
+    return groups
+
+
+def thin_maps():
+    """Every wall/floor map with sides 1 to 3: 682 maps."""
+    for width, height in product(range(1, 4), repeat=2):
+        for cells in product("fw", repeat=width * height):
+            tiles = tuple(tuple(cells[y * width:(y + 1) * width]) for y in range(height))
+            yield GridMap(f"thin_{width}x{height}_{''.join(cells)}", width, height, tiles)
+
+
 class TestActionBackground:
     @pytest.mark.parametrize("grid", differential_maps(), ids=lambda g: g.id)
     def test_successors_equal_reference(self, grid):
-        actions = reference_actions(grid)
+        groups = actions_by_input(reference_actions(grid))
         background = ActionBackground(grid)
         for cell in grid.passable_cells():
             for tile in (grid.tile_at(cell), UNKNOWN):
                 state = StateTerm(grid.id, cell, tile)
-                expected = expected_successors(actions, state)
+                expected = expected_successors(groups.get(cell, ()), state)
                 assert expected
                 assert list(background.successors(state)) == expected
+
+    def test_grouping_by_input_position_keeps_every_match(self, maze_a):
+        actions = reference_actions(maze_a)
+        groups = actions_by_input(actions)
+        off_map = [Coord(-1, 0), Coord(0, -1), Coord(maze_a.width, 0), Coord(0, maze_a.height)]
+        for cell in list(maze_a.cells()) + off_map:
+            tiles = (maze_a.tile_at(cell), UNKNOWN) if maze_a.in_bounds(cell) else (UNKNOWN,)
+            for tile in tiles:
+                state = StateTerm(maze_a.id, cell, tile)
+                assert (expected_successors(groups.get(cell, ()), state)
+                        == expected_successors(actions, state)), state
+
+    def test_every_cell_of_every_thin_map(self):
+        """On one-cell-wide and other thin maps, the planner steps neither off
+        the map nor out of a wall, and the observation reads the same sides
+        as open: both against the tile-based references, at every cell and
+        at a ring of off-map cells around it."""
+        queries = 0
+        for grid in thin_maps():
+            groups = actions_by_input(reference_actions(grid))
+            background = ActionBackground(grid)
+            for x, y in product(range(-1, grid.width + 1), range(-1, grid.height + 1)):
+                cell = Coord(x, y)
+                state = StateTerm(grid.id, cell, UNKNOWN)
+                expected = expected_successors(groups.get(cell, ()), state)
+                assert list(background.successors(state)) == expected, (grid.id, cell)
+                if grid.passable(cell):
+                    assert observe(grid, cell) == reference_observe(grid, cell), (grid.id, cell)
+                queries += 1
+        assert queries == 15970
 
     @pytest.mark.parametrize("grid", differential_maps(), ids=lambda g: g.id)
     def test_no_successors_off_the_passable_cells(self, grid):
