@@ -210,6 +210,18 @@ def _place_endpoints(rows: list[list[str]], map_id: str, width: int, height: int
     return GridMap(map_id, width, height, tuple(tuple(r) for r in rows))
 
 
+def _check_maze_size(width: int, height: int) -> None:
+    """Raise ``MapError`` unless both maze sides are odd and at least 5."""
+    if width % 2 == 0 or height % 2 == 0:
+        raise MapError(f"maze dimensions must be odd, got {width}x{height}")
+    if width < 5 or height < 5:
+        raise MapError(f"maze dimensions must be at least 5x5, got {width}x{height}")
+
+
+# The unit steps in ``DIRECTIONS`` order, for the maze's inner loop.
+_STEPS = tuple(map(DELTA.get, DIRECTIONS))
+
+
 def generate_maze(width: int, height: int, seed: int) -> GridMap:
     """Generate a perfect maze: corridor width 1, no open areas, and a
     unique simple path between any two passable cells.
@@ -218,33 +230,23 @@ def generate_maze(width: int, height: int, seed: int) -> GridMap:
     cell lattice, then places start and end tiles at random distinct passable
     cells.  Deterministic for a given (width, height, seed).
     """
-    if width % 2 == 0 or height % 2 == 0:
-        raise MapError(f"maze dimensions must be odd, got {width}x{height}")
-    if width < 5 or height < 5:
-        raise MapError(f"maze dimensions must be at least 5x5, got {width}x{height}")
+    _check_maze_size(width, height)
     rng = random.Random(seed)
     rows = [[WALL] * width for _ in range(height)]
-    first = Coord(0, 0)
-    rows[first.y][first.x] = FLOOR
-    stack = [first]
-    seen = {first}
+    # A lattice cell is floor exactly when the walk has entered it.
+    rows[0][0] = FLOOR
+    stack = [(0, 0)]
     while stack:
-        cur = stack[-1]
-        options = []
-        for d in DIRECTIONS:
-            dx, dy = DELTA[d]
-            nxt = Coord(cur.x + 2 * dx, cur.y + 2 * dy)
-            if 0 <= nxt.x < width and 0 <= nxt.y < height and nxt not in seen:
-                options.append((d, nxt))
+        x, y = stack[-1]
+        options = [(dx, dy) for dx, dy in _STEPS
+                   if 0 <= x + 2 * dx < width and 0 <= y + 2 * dy < height
+                   and rows[y + 2 * dy][x + 2 * dx] == WALL]
         if not options:
             stack.pop()
             continue
-        d, nxt = options[rng.randrange(len(options))]
-        between = cur.shifted(d)
-        rows[between.y][between.x] = FLOOR
-        rows[nxt.y][nxt.x] = FLOOR
-        seen.add(nxt)
-        stack.append(nxt)
+        dx, dy = options[rng.randrange(len(options))]
+        rows[y + dy][x + dx] = rows[y + 2 * dy][x + 2 * dx] = FLOOR
+        stack.append((x + 2 * dx, y + 2 * dy))
     return _place_endpoints(rows, f"maze_{seed}", width, height, rng)
 
 
@@ -266,46 +268,40 @@ def generate_lake(width: int, height: int, seed: int) -> GridMap:
     """
     if width < 5 or height < 5:
         raise MapError(f"lake dimensions must be at least 5x5, got {width}x{height}")
+    ring = [True] * (width + 2)
     for attempt in range(_LAKE_TRIES):
         rng = random.Random(seed * 1009 + attempt)
-        grid = [[WALL if rng.random() < 0.40 else FLOOR for _ in range(width)]
-                for _ in range(height)]
+        # ``wall[y][x]``; each pass pads the grid with a ring of walls, so an
+        # off-map neighbour counts as a wall.
+        wall = [[rng.random() < 0.40 for _ in range(width)] for _ in range(height)]
         for _ in range(4):
-            nxt = [row[:] for row in grid]
-            for y in range(height):
-                for x in range(width):
-                    walls = 0
-                    for dy in (-1, 0, 1):
-                        for dx in (-1, 0, 1):
-                            nx, ny = x + dx, y + dy
-                            if not (0 <= nx < width and 0 <= ny < height):
-                                walls += 1
-                            elif grid[ny][nx] == WALL:
-                                walls += 1
-                    nxt[y][x] = WALL if walls >= 5 else FLOOR
-            grid = nxt
-        component = _largest_component(grid, width, height)
+            padded = [ring, *([True, *row, True] for row in wall), ring]
+            wall = []
+            for below, row, above in zip(padded, padded[1:], padded[2:]):
+                column = [a + b + c for a, b, c in zip(below, row, above)]
+                wall.append([a + b + c >= 5 for a, b, c in zip(column, column[1:], column[2:])])
+        # Two components of half the cells each would leave at most one wall,
+        # which cannot split a map of sides 5 or more: set order cannot matter.
+        component = _largest_component(wall)
         if len(component) < (width * height) // 2:
             continue
         rows = [[WALL] * width for _ in range(height)]
-        for c in component:
-            rows[c.y][c.x] = FLOOR
+        for x, y in component:
+            rows[y][x] = FLOOR
         return _place_endpoints(rows, f"lake_{seed}", width, height, rng)
     raise MapError(f"lake generation failed after {_LAKE_TRIES} tries for seed {seed}")
 
 
-def _largest_component(grid: list[list[str]], width: int, height: int) -> set[Coord]:
-    unvisited = {Coord(x, y) for y in range(height) for x in range(width)
-                 if grid[y][x] != WALL}
-    best: set[Coord] = set()
+def _largest_component(wall: list[list[bool]]) -> set[tuple[int, int]]:
+    unvisited = {(x, y) for y, row in enumerate(wall) for x, w in enumerate(row) if not w}
+    best: set[tuple[int, int]] = set()
     while unvisited:
         root = unvisited.pop()
         comp = {root}
         frontier = [root]
         while frontier:
-            cur = frontier.pop()
-            for d in DIRECTIONS:
-                n = cur.shifted(d)
+            x, y = frontier.pop()
+            for n in ((x, y + 1), (x + 1, y), (x, y - 1), (x - 1, y)):
                 if n in unvisited:
                     unvisited.remove(n)
                     comp.add(n)

@@ -21,7 +21,7 @@ from .executors import (
 )
 from .fsc import CONTROLLER_STATES, FSC
 from .fixtures import fixture_map, lake_fixture_names, zero_map
-from .grid import GridMap, generate_maze, with_endpoints
+from .grid import GridMap, _check_maze_size, generate_maze, with_endpoints
 from .mil import Hypothesis, TupleBackground, behaviour_goals, hypothesis_to_tuples, learn
 from .model import ActionBackground, generalized_example, problem_from_map
 from .record import Record
@@ -216,6 +216,7 @@ def _instance_stream(spec: ExperimentSpec) -> Iterator[tuple[str, GridMap]]:
     """Check the spec at the call, then build its instances one at a time, as
     they are iterated."""
     if spec.environment == "maze":
+        _check_maze_size(spec.width, spec.height)
         return ((f"maze-{i:03d}", generate_maze(spec.width, spec.height, seed=spec.seed * 100_003 + i))
                 for i in range(spec.instances))
     if spec.environment != "lake":
@@ -240,8 +241,9 @@ def run_experiment(spec: ExperimentSpec, *, solver: Hypothesis | None = None,
     """Run the agent over the spec's instance set and aggregate a report row
     plus per-instance records.  Each instance is built just before its run,
     and neither is kept past it.  A spec naming an unknown agent or
-    environment, fewer than one instance, or a step budget its agent
-    rejects raises before anything is learned."""
+    environment, fewer than one instance, maze sides that are even or under
+    5, or a step budget its agent rejects raises before anything is
+    learned."""
     if spec.agent not in AGENTS:
         raise ValueError(f"unknown agent {spec.agent!r}")
     if spec.instances < 1:

@@ -381,6 +381,25 @@ class TestGeneratorDigests:
         assert self.digest(generate_lake, range(5, 26)) == (
             "4e00d45723a503189fece00718b012a06a9eeed7a21b491bb63c4f2115492b14")
 
+    def test_non_square_mazes_and_lakes(self):
+        """Every ordered pair of distinct sides, seeds 0-4, plus the two thin
+        lakes that fail: a width/height swap in a bounds test changes this
+        digest.  A lake that raises adds its ``MapError`` text.  The value
+        was computed at commit 4ae0e99, before the generators were rewritten
+        on plain (x, y) ints."""
+        sides = {generate_maze: (5, 9, 15, 21), generate_lake: (5, 8, 13, 20)}
+        cases = [(generate, width, height, seed) for generate, picks in sides.items()
+                 for width in picks for height in picks if width != height for seed in range(5)]
+        cases += [(generate_lake, 7, 5, 430051420), (generate_lake, 25, 5, 4198417077)]
+        h = hashlib.sha256()
+        for generate, width, height, seed in cases:
+            try:
+                h.update(serialize_map(generate(width, height, seed)).encode())
+            except MapError as e:
+                h.update(str(e).encode())
+        assert h.hexdigest() == (
+            "a37b8c657dea0d11e6a72746ff989ae5c23235e523147271df0824608e447287")
+
 
 class TestRender:
     def test_no_trace(self):

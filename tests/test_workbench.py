@@ -97,7 +97,10 @@ class TestExperiments:
         (ExperimentSpec("fsc-bt", "swamp", 11, 11, 2), "unknown environment 'swamp'"),
         (ExperimentSpec("solver", "maze", 11, 11, 0), "at least one instance, got 0"),
         (ExperimentSpec("fsc-re", "lake", 20, 20, -1), "at least one instance, got -1"),
-    ], ids=["agent", "environment", "no-instances", "negative-instances"])
+        (ExperimentSpec("solver", "maze"), "maze dimensions must be odd, got 50x50"),
+        (ExperimentSpec("fsc-bt", "maze", 3, 5, 2), "maze dimensions must be at least 5x5, got 3x5"),
+    ], ids=["agent", "environment", "no-instances", "negative-instances", "even-maze",
+            "small-maze"])
     def test_bad_spec_is_rejected_before_learning(self, monkeypatch, spec, message):
         def learning(*args, **kwargs):
             raise AssertionError("learned before the spec was checked")
