@@ -45,11 +45,11 @@ class BasicEnvironment:
     The position is a flat cell index, ``y * width + x``.  A move is legal
     exactly when the current cell's label reads ``p`` in its direction,
     and it adds the direction's offset (+width up, +1 right, -width down,
-    -1 left) to the position.  Each cell's label is read from the grid's
+    -1 left) to the position.  Labels are read from the grid's
     ``label_cache``, which the map shares with every ``with_endpoints``
     copy of it, so ``observe`` runs only for a cell that no run on that
-    layout has entered.  Each cell's ``Coord`` and (observation, at-goal)
-    reply are built on first arrival and kept for the run.
+    layout has entered.  The trail holds cell indices; ``trail`` turns
+    them into ``Coord``s.
     """
 
     supports_checkpoint = True
@@ -62,25 +62,24 @@ class BasicEnvironment:
         self._moves = dict(zip(DIRECTIONS, ((0, width), (1, 1), (2, -width), (3, -1))))
         self._end = end.y * width + end.x
         self._start = self._pos = start.y * width + start.x
-        self._trail = [start]
-        self._cells = [None] * (width * grid.height)
-        self._cells[self._start] = (start, (self._label(self._start, start), False))
+        self._trail = [self._start]
+        self._label(self._start)
         self._tokens: dict[int, int] = {}
         self._states: list[int] = []
 
-    def _label(self, i: int, coord: Coord) -> str:
+    def _label(self, i: int) -> str:
         labels = self.grid.label_cache
         label = labels[i]
         if label is None:
-            label = labels[i] = observe(self.grid, coord)
+            y, x = divmod(i, self.grid.width)
+            label = labels[i] = observe(self.grid, Coord(x, y))
         return label
 
     def reset(self) -> str:
         """Place the agent on the start tile and return the observation."""
         self._pos = self._start
-        start, (obs, _) = self._cells[self._start]
-        self._trail = [start]
-        return obs
+        self._trail = [self._start]
+        return self._label(self._start)
 
     def step(self, action: str) -> tuple[str, bool] | None:
         """Apply an action label.  Returns (observation, at_goal), or None
@@ -89,17 +88,12 @@ class BasicEnvironment:
             k, offset = self._moves[action]
         except (KeyError, TypeError):
             raise ExecutorError(f"unknown action label {action!r}") from None
-        cells = self._cells
-        if cells[self._pos][1][0][k] != "p":
+        labels = self.grid.label_cache
+        if labels[self._pos][k] != "p":
             return None
         i = self._pos = self._pos + offset
-        cell = cells[i]
-        if cell is None:
-            y, x = divmod(i, self.grid.width)
-            coord = tuple.__new__(Coord, (x, y))
-            cell = cells[i] = (coord, (self._label(i, coord), i == self._end))
-        self._trail.append(cell[0])
-        return cell[1]
+        self._trail.append(i)
+        return labels[i] or self._label(i), i == self._end
 
     def checkpoint(self) -> int:
         """Opaque token for the current state; equal states yield equal
@@ -116,7 +110,8 @@ class BasicEnvironment:
 
     @property
     def trail(self) -> tuple[Coord, ...]:
-        return tuple(self._trail)
+        width = self.grid.width
+        return tuple([tuple.__new__(Coord, (i % width, i // width)) for i in self._trail])
 
 
 class ExecutorConfig(FrozenRecord):

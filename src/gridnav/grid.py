@@ -202,11 +202,11 @@ def with_endpoints(grid: GridMap, start: Coord, end: Coord) -> GridMap:
 
 def _place_endpoints(rows: list[list[str]], map_id: str, width: int, height: int,
                      rng: random.Random) -> GridMap:
-    passable = [Coord(x, y) for y in range(height) for x in range(width)
-                if rows[y][x] in PASSABLE_TILES]
-    start, end = rng.sample(passable, 2)
-    rows[start.y][start.x] = START
-    rows[end.y][end.x] = END
+    passable = [(x, y) for y, row in enumerate(rows) for x, tile in enumerate(row)
+                if tile in PASSABLE_TILES]
+    (sx, sy), (ex, ey) = rng.sample(passable, 2)
+    rows[sy][sx] = START
+    rows[ey][ex] = END
     return GridMap(map_id, width, height, tuple(tuple(r) for r in rows))
 
 

@@ -17,7 +17,8 @@ that both engines test reached states by ``==`` rather than by
 off its tiles) and ``TupleBackground`` (the controller tuples, read off the
 head of a behaviour suffix) implement it.  A controller-learning state is
 the part of a behaviour not yet consumed, a plain tuple of (q, o, a, q')
-quadruples, and its goal is the empty suffix ``()``.
+quadruples, and its goal is the empty suffix ``()``;
+``controller_examples`` encodes behaviours so.
 
 Two engines run over it: ``learn`` (``prove`` for one example) collects
 the metasubstitutions of every refutation, for learning; ``first_derivation``
@@ -42,7 +43,7 @@ from enum import Enum
 from functools import partial
 from itertools import product
 from operator import eq
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .fsc import (ACTION_LABELS, CONTROLLER_STATES, FSC, OBSERVATION_LABELS, FSCError, FSCTuple,
                   _INTERNED, interned)
@@ -178,17 +179,6 @@ class Hypothesis(FrozenRecord):
         return cls.of(clauses, target)
 
 
-def behaviour_goals(behaviour: Sequence[FSCTuple], initial_qs: Iterable[str]) -> list:
-    """Encode a behaviour as resolution goals, one per initial controller
-    state: the whole behaviour as the suffix still to consume, with its
-    first controller state replaced, and the empty suffix ``()`` as goal."""
-    if not behaviour:
-        raise ValueError("behaviour must contain at least one tuple")
-    first = behaviour[0][1:]
-    rest = tuple(behaviour[1:])
-    return [(((q,) + first,) + rest, ()) for q in initial_qs]
-
-
 class TupleBackground:
     """The controller tuples as a ground background over behaviour suffixes:
     each well-formed 4-tuple is one dyadic symbol that consumes a matching
@@ -226,6 +216,21 @@ class TupleBackground:
             return [(t, state[1:])]
         rest = state[1:]
         return [(t, rest) for t in self._matching(state[0])]
+
+
+def controller_examples(behaviours) -> list:
+    """Encode behaviours as controller-learning examples: per behaviour and
+    per incoming controller state, the whole behaviour as the suffix still
+    to consume, its first controller state replaced, with the empty suffix
+    ``()`` as goal."""
+    examples = []
+    for behaviour in behaviours:
+        if not behaviour:
+            raise ValueError("behaviour must contain at least one tuple")
+        first = behaviour[0][1:]
+        rest = tuple(behaviour[1:])
+        examples += [(((q,) + first,) + rest, ()) for q in CONTROLLER_STATES]
+    return examples
 
 
 def _goal_test(background, goal):

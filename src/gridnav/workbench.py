@@ -19,10 +19,10 @@ from .executors import (
     ExecutorConfig,
     execute,
 )
-from .fsc import CONTROLLER_STATES, FSC
+from .fsc import FSC
 from .fixtures import fixture_map, lake_fixture_names, zero_map
 from .grid import GridMap, _check_maze_size, generate_maze, with_endpoints
-from .mil import Hypothesis, TupleBackground, behaviour_goals, hypothesis_to_tuples, learn
+from .mil import Hypothesis, TupleBackground, controller_examples, hypothesis_to_tuples, learn
 from .model import ActionBackground, generalized_example, problem_from_map
 from .record import Record
 # Not called here; perfbench/selftest.py requires the binding (REQUIRED_BINDINGS).
@@ -58,15 +58,6 @@ def learn_solver() -> Hypothesis:
     grid = zero_map()
     background = ActionBackground(grid)
     return learn([generalized_example(grid.id)], background, target="s")
-
-
-def controller_examples(behaviours):
-    """Compose the controller learning problem from behaviours: one goal per
-    behaviour per incoming controller state."""
-    examples = []
-    for behaviour in behaviours:
-        examples.extend(behaviour_goals(behaviour, CONTROLLER_STATES))
-    return examples
 
 
 def learn_controller(solver: Hypothesis, matrices=None) -> FSC:
@@ -205,16 +196,11 @@ REPORT_HEADER = (
 )
 
 
-def experiment_instances(spec: ExperimentSpec) -> list[tuple[str, GridMap]]:
-    """The seeded instance set for a spec; identical across agents.  Lake
-    instances reroll the endpoints of the packaged lake fixtures, so a lake
-    spec must name their dimensions."""
-    return list(_instance_stream(spec))
-
-
-def _instance_stream(spec: ExperimentSpec) -> Iterator[tuple[str, GridMap]]:
-    """Check the spec at the call, then build its instances one at a time, as
-    they are iterated."""
+def experiment_instances(spec: ExperimentSpec) -> Iterator[tuple[str, GridMap]]:
+    """The seeded instance set for a spec; identical across agents.  The
+    spec is checked at the call, and each instance is built as it is
+    iterated.  Lake instances reroll the endpoints of the packaged lake
+    fixtures, so a lake spec must name their dimensions."""
     if spec.environment == "maze":
         _check_maze_size(spec.width, spec.height)
         return ((f"maze-{i:03d}", generate_maze(spec.width, spec.height, seed=spec.seed * 100_003 + i))
@@ -251,7 +237,7 @@ def run_experiment(spec: ExperimentSpec, *, solver: Hypothesis | None = None,
     if spec.agent == SOLVER and spec.step_budget is not None:
         raise ValueError(_SOLVER_BUDGET_ERROR)
     ExecutorConfig(step_budget=spec.step_budget)  # raises ExecutorError on a negative budget
-    instances = _instance_stream(spec)
+    instances = experiment_instances(spec)
     if spec.agent == SOLVER:
         solver = solver if solver is not None else learn_solver()
     elif controller is None:

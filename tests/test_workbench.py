@@ -33,6 +33,7 @@ from gridnav import workbench
 from gridnav.cli import main as cli_main
 from gridnav.workbench import REPORT_HEADER, controller_examples
 
+from test_executors import count_calls
 from test_fsc import tuple_universe
 from test_grid import adjacency_edges, connected_component
 
@@ -71,6 +72,21 @@ class TestExperiments:
             experiment_instances(ExperimentSpec("solver", "lake", 50, 50, 5))
         with pytest.raises(ValueError, match="not 50x50"):
             run_experiment(ExperimentSpec("solver", "lake", 50, 50, 5))
+
+    def test_instances_are_built_as_they_are_iterated(self, monkeypatch):
+        built = count_calls(monkeypatch, workbench, "generate_maze")
+        instances = experiment_instances(ExperimentSpec("solver", "maze", 9, 9, 3, seed=5))
+        assert built == []
+        for count in (1, 2, 3):
+            next(instances)
+            assert len(built) == count
+        assert next(instances, None) is None
+
+    def test_an_even_maze_size_raises_at_the_call(self, monkeypatch):
+        built = count_calls(monkeypatch, workbench, "generate_maze")
+        with pytest.raises(ValueError, match="^maze dimensions must be odd, got 10x9$"):
+            experiment_instances(ExperimentSpec("solver", "maze", 10, 9, 3))
+        assert built == []
 
     @pytest.mark.parametrize("spec, digest", [
         (ExperimentSpec.desk_lake("solver"),
@@ -156,7 +172,7 @@ class TestExperiments:
 
         spec = ExperimentSpec("fsc-re", "maze", 9, 9, 3, seed=7)
         report = run_experiment(spec, solver=solver_hypothesis, controller=learned_controller)
-        instances = experiment_instances(spec)
+        instances = list(experiment_instances(spec))
         assert [record.instance for record in report.records] == [name for name, _ in instances]
         for record, (_, grid) in zip(report.records, instances):
             run = run_single(spec.agent, grid, controller=learned_controller)
@@ -189,6 +205,10 @@ class TestExperiments:
                                 for i, t in enumerate(behaviour))
                 expected.append((initial, ()))
         assert controller_examples(behaviours) == expected
+
+    def test_an_empty_behaviour_has_no_controller_example(self):
+        with pytest.raises(ValueError, match="^behaviour must contain at least one tuple$"):
+            controller_examples([()])
 
 
 def pipeline_lines(solver, controller):
