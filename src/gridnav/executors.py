@@ -49,7 +49,7 @@ class BasicEnvironment:
     ``label_cache``, which the map shares with every ``with_endpoints``
     copy of it, so ``observe`` runs only for a cell that no run on that
     layout has entered.  The trail holds cell indices; ``trail`` turns
-    them into ``Coord``s.
+    them into the layout store's ``Coord``s (``GridMap._layout``).
     """
 
     supports_checkpoint = True
@@ -71,8 +71,12 @@ class BasicEnvironment:
         labels = self.grid.label_cache
         label = labels[i]
         if label is None:
-            y, x = divmod(i, self.grid.width)
-            label = labels[i] = observe(self.grid, Coord(x, y))
+            coords = self.grid._layout[0]
+            coord = coords[i]
+            if coord is None:
+                y, x = divmod(i, self.grid.width)
+                coord = coords[i] = tuple.__new__(Coord, (x, y))
+            label = labels[i] = observe(self.grid, coord)
         return label
 
     def reset(self) -> str:
@@ -110,8 +114,9 @@ class BasicEnvironment:
 
     @property
     def trail(self) -> tuple[Coord, ...]:
-        width = self.grid.width
-        return tuple([tuple.__new__(Coord, (i % width, i // width)) for i in self._trail])
+        """The accepted moves' cells, from the start: the layout's ``Coord``
+        of each, filled with its label when the cell was first entered."""
+        return tuple(map(self.grid._layout[0].__getitem__, self._trail))
 
 
 class ExecutorConfig(FrozenRecord):

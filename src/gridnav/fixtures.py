@@ -16,7 +16,8 @@ def zero_map() -> GridMap:
 
 
 def _read(subdir: str, filename: str) -> str:
-    return (resources.files("gridnav") / subdir / filename).read_text()
+    # The package's own files, also where a copy is loaded under another name.
+    return (resources.files(__package__) / subdir / filename).read_text()
 
 
 def fixture_map(name: str) -> GridMap:
@@ -25,7 +26,7 @@ def fixture_map(name: str) -> GridMap:
 
 
 def map_fixture_names() -> tuple[str, ...]:
-    entries = (resources.files("gridnav") / "maps").iterdir()
+    entries = (resources.files(__package__) / "maps").iterdir()
     return tuple(sorted(p.name[:-4] for p in entries if p.name.endswith(".map")))
 
 

@@ -64,9 +64,19 @@ class GridMap(FrozenRecord):
     map built any other way (constructed, parsed, generated, pickled or
     copied) starts with a table of its own.  The table is not a field:
     equality, hashing, the repr and pickling ignore it.
+
+    ``_layout`` is the rest of the layout's store: a tuple of three more
+    tables of one slot per cell, filled as they are read.  In order, they
+    hold each cell's ``Coord``, filled by an environment with the cell's
+    label, and its floor ``StateTerm`` ``(id, Coord, "f")`` and the
+    planner's step list out of it, filled by ``model.ActionBackground``.  The store follows
+    ``label_cache``'s rules: endpoint copies share it, any other map has
+    its own, and it is not a field.  Its states and steps read every
+    passable cell as floor; a planner patches the steps next to its own
+    map's start and end.
     """
 
-    __slots__ = ("id", "width", "height", "tiles", "start", "end", "label_cache")
+    __slots__ = ("id", "width", "height", "tiles", "start", "end", "label_cache", "_layout")
     _fields = ("id", "width", "height", "tiles", "start", "end")
 
     def __init__(self, id: str, width: int, height: int, tiles: tuple[tuple[str, ...], ...],
@@ -83,12 +93,14 @@ class GridMap(FrozenRecord):
         if cells.count(START) > 1 or cells.count(END) > 1:
             raise MapError(f"map {id!r}: multiple start or end tiles")
         start, end = cells.find(START), cells.find(END)
+        n = width * height
         self._set(id, width, height, tiles,
                   Coord(start % width, start // width) if start >= 0 else None,
-                  Coord(end % width, end // width) if end >= 0 else None, [None] * (width * height))
+                  Coord(end % width, end // width) if end >= 0 else None,
+                  [None] * n, ([None] * n, [None] * n, [None] * n))
 
     def _set(self, *values) -> "GridMap":
-        """Set the seven slots, in ``__slots__`` order; returns the map."""
+        """Set the eight slots, in ``__slots__`` order; returns the map."""
         for name, value in zip(GridMap.__slots__, values, strict=True):
             object.__setattr__(self, name, value)
         return self
@@ -180,7 +192,8 @@ def serialize_map(grid: GridMap) -> str:
 
 def with_endpoints(grid: GridMap, start: Coord, end: Coord) -> GridMap:
     """Copy of ``grid`` with start/end moved to the given passable cells.
-    The copy shares ``grid``'s label cache: no cell's label changes.
+    The copy shares ``grid``'s label cache and layout store: no cell's
+    label, ``Coord`` or floor steps change.
 
     The source's tiles are valid and only passable cells are rewritten, to
     passable kinds, so the copy is built without re-validating its tiles:
@@ -197,7 +210,7 @@ def with_endpoints(grid: GridMap, start: Coord, end: Coord) -> GridMap:
         row[c.x] = kind
     return object.__new__(GridMap)._set(grid.id, grid.width, grid.height, tuple(map(tuple, rows)),
                                         Coord(start.x, start.y), Coord(end.x, end.y),
-                                        grid.label_cache)
+                                        grid.label_cache, grid._layout)
 
 
 def _place_endpoints(rows: list[list[str]], map_id: str, width: int, height: int,

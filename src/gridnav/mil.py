@@ -10,10 +10,11 @@ A background is a set of dyadic ground atoms ``symbol(state, next)``, given
 as any object with two methods over hashable states.  ``successors(state)``
 returns an iterable of (symbol, next state), one for every atom whose first
 argument unifies with the state, in sorted symbol order (the order of
-``Hypothesis.ordered``).  ``matches_only_equals(goal)`` says whether the
-goal matches exactly its equals among the states the background yields, so
-that both engines test reached states by ``==`` rather than by
-``model.unifies``.  ``ActionBackground`` (the step actions of a map, read
+``Hypothesis.ordered``); it may be a list the background keeps and returns
+again, so callers must not mutate it.  ``matches_only_equals(goal)`` says
+whether the goal matches exactly its equals among the states the
+background yields, so that both engines test reached states by ``==``
+rather than by ``model.unifies``.  ``ActionBackground`` (the step actions of a map, read
 off its tiles) and ``TupleBackground`` (the controller tuples, read off the
 head of a behaviour suffix) implement it.  A controller-learning state is
 the part of a behaviour not yet consumed, a plain tuple of (q, o, a, q')

@@ -3,8 +3,9 @@
 A state term bundles a map identifier, a position and the tile kind at that
 position.  Each ordered pair of adjacent passable cells is one ground step
 action, the atom ``step_<direction>(input, output)``.  ``ActionBackground``
-reads these atoms off the map's tiles per query, as (name, output) pairs:
-planning asks it at bound positions, learning at an unbound one.
+reads these atoms off the map's tiles on a cell's first query, keeps them
+with the map's layout and returns them as (name, output) pairs: planning
+asks it at bound positions, learning at an unbound one.
 An unbound query is built from the bound one: it asks every cell in turn.
 ``GroundAction`` values are built only for the map's action listing,
 ``instantiate_actions``, and for a plan's own steps.
@@ -15,7 +16,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
-from .grid import BLOCKED_BIT, DELTA, DIRECTIONS, PASSABLE_TILES, Coord, GridMap, blocked
+from .grid import BLOCKED_BIT, DELTA, DIRECTIONS, FLOOR, PASSABLE_TILES, Coord, GridMap, blocked
 
 
 class _Unknown:
@@ -139,9 +140,9 @@ _STEPS = tuple(tuple(sorted((action_name(d), *DELTA[d]) for d in DIRECTIONS
 
 
 class ActionBackground:
-    """The ground step actions of one map, read off its tiles per query.
+    """The ground step actions of one map, read off its tiles.
 
-    ``successors(state)`` yields (name, output state) for every step action
+    ``successors(state)`` returns (name, output state) for every step action
     whose input state unifies with the query.  At a bound passable cell these
     are the steps through the sides that ``grid.blocked``, the rule of
     ``observe``, leaves open, in sorted action-name order.  An UNKNOWN
@@ -149,15 +150,36 @@ class ActionBackground:
     and stably sorts the steps by name: the order of ``instantiate_actions``,
     which lists them with their input states, by name, then input position.
 
-    Each passable cell's output ``StateTerm`` and ``Coord`` are built on
-    first reach and kept in a flat list indexed by ``y * width + x``, so
-    every later reach of the cell yields the same object.  The list lives
-    and dies with the background: one per solve, never shared.
+    A cell's step list is read through ``blocked`` on the cell's first
+    query on the layout and kept in the map's layout store
+    (``GridMap._layout``) with the floor ``StateTerm`` of each cell it
+    enters, so every endpoint copy of the map returns the same list and
+    states for that cell.  Only the start and end tiles are not floor: the
+    steps out of their neighbours (at most 8 cells) are this background's
+    own, patched when it is built, with one state each for the start and
+    end.  The returned lists are shared: callers must not mutate them.
     """
 
     def __init__(self, grid: GridMap):
         self.grid = grid
-        self._states: list[StateTerm | None] = [None] * (grid.width * grid.height)
+        _, self._floor, self._layout_steps = grid._layout
+        # The layout's step lists, with this map's own patched in below.
+        self._steps = self._layout_steps.copy()
+        own = {c: _new_tuple(StateTerm, (grid.id, c, grid.tiles[c.y][c.x]))
+               for c in (grid.start, grid.end) if c is not None}
+
+        def steps_at(pos: Coord) -> list:
+            steps = self._steps[pos.y * grid.width + pos.x]
+            if steps is None:
+                steps = self.successors(_new_tuple(StateTerm, (grid.id, pos, UNKNOWN)))
+            return steps
+
+        # The steps out of the start's and end's neighbours are this map's own.
+        for c in own:
+            for _, nxt in steps_at(c):
+                n = nxt.pos
+                self._steps[n.y * grid.width + n.x] = [(name, own.get(state.pos, state))
+                                                       for name, state in steps_at(n)]
 
     @staticmethod
     def matches_only_equals(goal: StateTerm) -> bool:
@@ -168,28 +190,35 @@ class ActionBackground:
 
     def successors(self, state: StateTerm):
         grid = self.grid
-        map_id = grid.id
-        state_map_id, pos, state_tile = state
-        if state_map_id != map_id:
-            return
+        map_id, pos, state_tile = state
+        if map_id != grid.id:
+            return ()
         if pos is UNKNOWN:
-            yield from ((name, nxt) for name, _, nxt in self._listing(state_tile))
-            return
-        width, height, tiles, states = grid.width, grid.height, grid.tiles, self._states
+            return [(name, nxt) for name, _, nxt in self._listing(state_tile)]
+        width = grid.width
         x, y = pos
-        if not (0 <= x < width and 0 <= y < height):
-            return
-        tile = tiles[y][x]
+        if not (0 <= x < width and 0 <= y < grid.height):
+            return ()
+        tile = grid.tiles[y][x]
         if tile not in PASSABLE_TILES or not (state_tile is UNKNOWN or state_tile == tile):
-            return
+            return ()
+        i = y * width + x
+        steps = self._steps[i]
+        if steps is not None:
+            return steps
+        # The layout's steps, as if every cell were floor: where that is
+        # wrong, next to the start or end, ``__init__`` has patched them.
+        floor = self._floor
+        steps = []
         for name, dx, dy in _STEPS[blocked(grid, x, y)]:
-            nx, ny = x + dx, y + dy
-            i = ny * width + nx
-            nxt = states[i]
+            j = i + dy * width + dx
+            nxt = floor[j]
             if nxt is None:
-                nxt = states[i] = _new_tuple(
-                    StateTerm, (map_id, _new_tuple(Coord, (nx, ny)), tiles[ny][nx]))
-            yield name, nxt
+                nxt = floor[j] = _new_tuple(
+                    StateTerm, (map_id, _new_tuple(Coord, (x + dx, y + dy)), FLOOR))
+            steps.append((name, nxt))
+        self._steps[i] = self._layout_steps[i] = steps
+        return steps
 
     def _listing(self, tile) -> list:
         """(name, input state, output state) of every step out of a cell

@@ -12,6 +12,7 @@ from .model import (
     GroundAction,
     PlanningProblem,
     StateTerm,
+    _DIRECTION_FOR_NAME,
     _new_tuple,
     direction_of,
     problem_from_map,
@@ -74,7 +75,7 @@ def solve(grid: GridMap, hypothesis: Hypothesis, problem: PlanningProblem | None
     for name, nxt in steps:
         actions.append(tuple.__new__(GroundAction, (name, here, nxt)))
         here = nxt
-    labels = tuple(direction_of(name) for name, _ in steps)
+    labels = tuple([_DIRECTION_FOR_NAME[name] for name, _ in steps])
     return Plan(tuple(actions), labels, problem.initial, problem.goal)
 
 

@@ -7,6 +7,7 @@ import csv
 import io
 import random
 from itertools import starmap
+from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from .executors import (
@@ -119,7 +120,7 @@ def run_single(agent: str, grid: GridMap, *, solver: Hypothesis | None = None,
     env = BasicEnvironment(grid)
     cfg = ExecutorConfig(kind, slam=slam, step_budget=step_budget)
     result = execute(controller, env, cfg)
-    labels = tuple(t.a for t in result.trace)
+    labels = tuple(map(itemgetter(2), result.trace))
     return RunOutcome(agent, grid, result.outcome, result.steps, labels, result=result)
 
 

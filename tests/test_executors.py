@@ -318,6 +318,21 @@ class TestSharedLabelCache:
         run_backtracking(learned_controller, BasicEnvironment(lake), ExecutorConfig())
         assert observed == []
 
+    def test_trail_reads_the_layouts_coords(self, learned_controller):
+        """A cell's ``Coord`` is filled with its label, once per layout: the
+        trails of endpoint copies share the objects."""
+        lake = fixture_map("lake_04")
+        coords = lake._layout[0]
+        seen = {}
+        for grid in endpoint_copies(lake, 4, "lake_04"):
+            env = BasicEnvironment(grid)
+            run_backtracking(learned_controller, env, ExecutorConfig())
+            for c in env.trail:
+                assert c is coords[c.y * lake.width + c.x] and type(c) is Coord
+                assert seen.setdefault(c, c) is c
+        assert {i for i, label in enumerate(lake.label_cache) if label is not None} == {
+            i for i, c in enumerate(coords) if c is not None}
+
     @pytest.mark.parametrize("kind, slam", [(BACKTRACKING, False), (BACKTRACKING, True),
                                             (REVERSING, False), (REVERSING, True)])
     def test_isolated_start_observes_uuuu_and_ends_exhausted_with_no_move(

@@ -15,6 +15,7 @@ from gridnav import (
     fixture_map,
     generate_lake,
     generate_maze,
+    instantiate_actions,
     lake_fixture_names,
     map_fixture_names,
     observe,
@@ -254,20 +255,27 @@ class TestWithEndpointsCopy:
 
 def filled_lake():
     """A fresh lake fixture whose label cache holds every passable cell's
-    label."""
+    label, and whose layout store (``GridMap._layout``) holds every passable
+    cell's ``Coord``, floor state and step list."""
     lake = fixture_map("lake_01")
     for c in lake.passable_cells():
         lake.label_cache[c.y * lake.width + c.x] = observe(lake, c)
+        lake._layout[0][c.y * lake.width + c.x] = c
+    instantiate_actions(lake)
     return lake
 
 
 class TestLabelCache:
+    """The label cache and the layout store follow one set of rules."""
+
     def test_endpoint_copies_and_their_copies_share_the_cache(self):
         lake = fixture_map("lake_01")
         a, b, c = sorted(lake.passable_cells())[:3]
         copy_ = with_endpoints(lake, a, b)
         assert copy_.label_cache is lake.label_cache
         assert with_endpoints(copy_, b, c).label_cache is lake.label_cache
+        assert copy_._layout is lake._layout
+        assert with_endpoints(copy_, b, c)._layout is lake._layout
 
     def test_maps_built_any_other_way_have_a_fresh_cache(self):
         lake = filled_lake()
@@ -283,24 +291,32 @@ class TestLabelCache:
             copy.copy(lake),
             copy.deepcopy(lake),
         ]
+        assert all(map(any, lake._layout))
         for other in others:
+            empty = [None] * (other.width * other.height)
             assert other.label_cache is not lake.label_cache
-            assert other.label_cache == [None] * (other.width * other.height)
+            assert other.label_cache == empty
+            assert other._layout is not lake._layout and len(other._layout) == 3
+            for table, filled in zip(other._layout, lake._layout):
+                assert table is not filled and table == empty
 
     def test_equality_hash_repr_and_pickling_ignore_the_cache(self):
         lake, twin = filled_lake(), fixture_map("lake_01")
-        assert lake.label_cache != twin.label_cache
+        assert lake.label_cache != twin.label_cache and lake._layout != twin._layout
         assert lake == twin and hash(lake) == hash(twin) and repr(lake) == repr(twin)
-        assert "label_cache" not in repr(lake)
+        assert "label_cache" not in repr(lake) and "_layout" not in repr(lake)
         assert pickle.loads(pickle.dumps(lake)) == lake
         assert lake.__reduce__() == twin.__reduce__()
         moved = with_endpoints(lake, lake.end, lake.start)
         assert moved != lake and moved.label_cache is lake.label_cache
+        assert moved._layout is lake._layout
 
     def test_cache_is_not_assignable(self):
         lake = fixture_map("lake_01")
         with pytest.raises(AttributeError):
             lake.label_cache = []
+        with pytest.raises(AttributeError):
+            lake._layout = ()
 
 
 class TestMazeGenerator:

@@ -337,14 +337,17 @@ class TestHypothesisText:
 
 class TestSuffixes:
     def test_suffixes_of_tuples_equal_and_hash_as_their_labels(self):
-        # A goal's head is a plain quadruple and its rest the behaviour's own
-        # FSCTuples; equal suffixes are the same state either way.
+        # A suffix of the behaviour's own FSCTuples equals, and hashes as,
+        # the suffix of their plain label quadruples, as does a goal whose
+        # head ``controller_examples`` rebuilt as a plain quadruple.
         behaviour = (FSCTuple("q0", "upuu", "right", "q1"), FSCTuple("q1", "pppp", "up", "q0"))
         one = behaviour_goal(behaviour)[0]
         two = tuple(tuple(t) for t in behaviour)
         assert one == two and hash(one) == hash(two)
         assert len({one, two, one[1:], two[1:]}) == 2
         assert one != one[1:]
+        mixed = (tuple(behaviour[0]),) + behaviour[1:]
+        assert mixed == one and hash(mixed) == hash(one)
 
     def test_unification_needs_equal_lengths_then_unifying_labels(self):
         state = (("q0", "upuu", "right", "q1"),)

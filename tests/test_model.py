@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from itertools import product
 
 import pytest
@@ -26,11 +27,14 @@ from gridnav import (
     observe,
     parse_map,
     problem_from_map,
+    solve,
+    with_endpoints,
     zero_map,
 )
+import gridnav.model as model
 from gridnav.model import action_name, unifies
 
-from test_executors import count_calls
+from test_executors import count_calls, shared_cache_sources
 from test_fsc import reference_observe
 from test_grid import adjacency_edges, neighbors
 from test_mil import SOLVER_TEXT
@@ -196,20 +200,33 @@ class TestActionBackground:
             assert list(background.successors(StateTerm("other", cell, UNKNOWN))) == []
             assert list(background.successors(StateTerm(grid.id, cell, "w"))) == []
 
-    def test_cell_state_built_once_per_background(self, maze_a):
-        def reaches(background, cell):
+    def test_cell_state_built_once_per_layout(self, maze_a):
+        """A floor cell's output state is built once per layout: backgrounds
+        on the map and on its endpoint copies yield the one object.  The
+        start's and end's states are each background's own, and a map
+        built afresh has states of its own."""
+        def reaches(grid, background, cell):
             """The output states for ``cell`` from each of its neighbors."""
-            return [nxt for _, n in neighbors(maze_a, cell)
-                    for _, nxt in background.successors(StateTerm(maze_a.id, n, UNKNOWN))
+            return [nxt for _, n in neighbors(grid, cell)
+                    for _, nxt in background.successors(StateTerm(grid.id, n, UNKNOWN))
                     if nxt.pos == cell]
 
-        cell = next(c for c in maze_a.passable_cells() if len(neighbors(maze_a, c)) >= 2)
-        first = reaches(ActionBackground(maze_a), cell)
+        grid = GridMap(maze_a.id, maze_a.width, maze_a.height, maze_a.tiles)
+        near_ends = {n for end in (grid.start, grid.end) for _, n in neighbors(grid, end)}
+        cell = next(c for c in grid.passable_cells()
+                    if len(neighbors(grid, c)) >= 2 and c not in near_ends | {grid.start, grid.end})
+        first = reaches(grid, ActionBackground(grid), cell)
         assert len(first) >= 2
         assert all(state is first[0] for state in first)
-        fresh = reaches(ActionBackground(maze_a), cell)
-        assert fresh == first
-        assert all(state is not first[0] for state in fresh)
+        for again in (grid, with_endpoints(grid, grid.end, grid.start)):
+            assert all(state is first[0] for state in reaches(again, ActionBackground(again), cell))
+        assert len(neighbors(grid, grid.end)) >= 2
+        end_states = [reaches(grid, ActionBackground(grid), grid.end) for _ in range(2)]
+        assert all(state is end_states[0][0] for state in end_states[0])
+        assert end_states[1] == end_states[0] and end_states[1][0] is not end_states[0][0]
+        fresh = GridMap(grid.id, grid.width, grid.height, grid.tiles)
+        other = reaches(fresh, ActionBackground(fresh), cell)
+        assert other == first and all(state is not first[0] for state in other)
 
     def test_unbound_position_yields_every_matching_action(self):
         for grid in [zero_map()] + differential_maps():
@@ -247,6 +264,70 @@ class TestActionBackground:
         built = count_calls(monkeypatch, GroundAction, "__new__")
         assert learn_solver().to_text() == SOLVER_TEXT
         assert built == []
+
+
+def endpoint_turns(source):
+    """Endpoint copies of ``source`` in the order they take turns: random
+    pairs, a start next to its end both ways round, and the source itself
+    with its own ``s`` and ``e``, twice."""
+    rng = random.Random(source.id)
+    cells = source.passable_cells()
+    a = next(c for c in cells if neighbors(source, c))
+    b = neighbors(source, a)[0][1]
+    pairs = [rng.sample(cells, 2) for _ in range(4)]
+    return [with_endpoints(source, *pairs[0]), with_endpoints(source, a, b), source,
+            with_endpoints(source, *pairs[1]), with_endpoints(source, b, a),
+            with_endpoints(source, *pairs[2]), source, with_endpoints(source, *pairs[3])]
+
+
+class TestLayoutStore:
+    """Endpoint copies share the planner's floor states and step lists; each
+    background patches the steps into its own start and end."""
+
+    @pytest.mark.parametrize("source", shared_cache_sources(), ids=lambda g: g.id)
+    def test_copies_taking_turns_through_one_store_equal_the_reference(self, source):
+        """Backgrounds of several copies are live at once and asked about
+        each cell in turn, so each one reads lists that others filled after
+        it was built; every reply equals a fresh reference for its copy."""
+        turns = endpoint_turns(source)
+        assert all(grid._layout is source._layout for grid in turns)
+        references = [actions_by_input(reference_actions(grid)) for grid in turns]
+        backgrounds = []
+        for grid in turns:
+            backgrounds.append(ActionBackground(grid))
+            for cell in grid.passable_cells():
+                for grid_, groups, background in zip(turns, references, backgrounds):
+                    for tile in (grid_.tile_at(cell), UNKNOWN):
+                        state = StateTerm(grid_.id, cell, tile)
+                        expected = expected_successors(groups.get(cell, ()), state)
+                        assert list(background.successors(state)) == expected, (grid_, state)
+        # The steps into a start and an end carry their own tiles.
+        for grid, background in zip(turns, backgrounds):
+            for end, tile in ((grid.start, "s"), (grid.end, "e")):
+                for _, cell in neighbors(grid, end):
+                    steps = background.successors(StateTerm(grid.id, cell, UNKNOWN))
+                    into = [nxt for _, nxt in steps if nxt.pos == end]
+                    assert [nxt.tile for nxt in into] == [tile]
+
+    def test_each_layout_cell_is_read_through_blocked_once(self, monkeypatch, solver_hypothesis):
+        """Over solves on twenty endpoint copies of one lake, ``blocked``
+        reads each cell at most once; a copy whose solve reaches only cells
+        read before reads none."""
+        lake = fixture_map("lake_03")
+        rng = random.Random(3)
+        cells = lake.passable_cells()
+        reads = count_calls(monkeypatch, model, "blocked")
+        plans = []
+        for _ in range(20):
+            grid = with_endpoints(lake, *rng.sample(cells, 2))
+            plans.append((grid, solve(grid, solver_hypothesis)))
+        read_cells = [(x, y) for _, x, y in reads]
+        assert len(read_cells) == len(set(read_cells)) > 0
+        for grid, plan in plans[:3]:
+            reads.clear()
+            again = with_endpoints(lake, grid.start, grid.end)
+            assert solve(again, solver_hypothesis) == plan
+            assert reads == []
 
 
 class TestProblems:
