@@ -94,6 +94,8 @@ def _cmd_experiment(args) -> int:
         spec = ExperimentSpec.desk_lake(args.agent, seed=args.seed, full=args.full)
     if args.budget is not None:
         spec = spec._replace(step_budget=args.budget)
+    if args.csv:
+        open(args.csv, "a").close()  # an unwritable path fails here, not after the run
     report = run_experiment(spec)
     print(REPORT_HEADER)
     print(report.table_row())

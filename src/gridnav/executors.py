@@ -45,17 +45,18 @@ class BasicEnvironment:
     The position is a flat cell index, ``y * width + x``.  A move is legal
     exactly when the current cell's label reads ``p`` in its direction,
     and it adds the direction's offset (+width up, +1 right, -width down,
-    -1 left) to the position.  Labels are read from the grid's
-    ``label_cache``, which the map shares with every ``with_endpoints``
-    copy of it, so ``observe`` runs only for a cell that no run on that
-    layout has entered.  The trail holds cell indices; ``trail`` turns
-    them into the layout store's ``Coord``s (``GridMap._layout``).
+    -1 left) to the position.  Labels and ``Coord``s are kept in the map's
+    ``Layout``, which the map shares with every ``with_endpoints`` copy of
+    it, so ``observe`` runs only for a cell that no run on that layout has
+    entered.  The trail holds cell indices; ``trail`` turns them into the
+    layout's ``Coord``s.
     """
 
     supports_checkpoint = True
 
     def __init__(self, grid: GridMap):
         self.grid = grid
+        self._labels, self._coords = grid.layout.labels, grid.layout.coords
         start, end = grid.require_endpoints()
         width = grid.width
         # Each action's place in a label and the offset of its move.
@@ -68,15 +69,11 @@ class BasicEnvironment:
         self._states: list[int] = []
 
     def _label(self, i: int) -> str:
-        labels = self.grid.label_cache
-        label = labels[i]
+        label = self._labels[i]
         if label is None:
-            coords = self.grid._layout[0]
-            coord = coords[i]
-            if coord is None:
-                y, x = divmod(i, self.grid.width)
-                coord = coords[i] = tuple.__new__(Coord, (x, y))
-            label = labels[i] = observe(self.grid, coord)
+            y, x = divmod(i, self.grid.width)
+            coord = self._coords[i] = tuple.__new__(Coord, (x, y))
+            label = self._labels[i] = observe(self.grid, coord)
         return label
 
     def reset(self) -> str:
@@ -92,7 +89,7 @@ class BasicEnvironment:
             k, offset = self._moves[action]
         except (KeyError, TypeError):
             raise ExecutorError(f"unknown action label {action!r}") from None
-        labels = self.grid.label_cache
+        labels = self._labels
         if labels[self._pos][k] != "p":
             return None
         i = self._pos = self._pos + offset
@@ -116,7 +113,7 @@ class BasicEnvironment:
     def trail(self) -> tuple[Coord, ...]:
         """The accepted moves' cells, from the start: the layout's ``Coord``
         of each, filled with its label when the cell was first entered."""
-        return tuple(map(self.grid._layout[0].__getitem__, self._trail))
+        return tuple(map(self._coords.__getitem__, self._trail))
 
 
 class ExecutorConfig(FrozenRecord):

@@ -48,6 +48,23 @@ class Coord(NamedTuple):
         return f"{self.x}/{self.y}"
 
 
+class Layout:
+    """A passability layout's tables, one slot per cell ``y * width + x``,
+    each empty until read.  A map's ``with_endpoints`` copies share its
+    layout, as moving the start and end changes no passability; any other
+    map (constructed, parsed, generated, pickled or copied) has its own.
+    An environment fills ``labels`` and ``coords`` (observation labels and
+    ``Coord``s); ``model.ActionBackground`` fills ``floor`` and ``steps``
+    (floor ``StateTerm``s ``(id, Coord, "f")`` and step lists), reading
+    every passable cell as floor and patching the steps next to its own
+    map's start and end."""
+
+    __slots__ = ("labels", "coords", "floor", "steps")
+
+    def __init__(self, cells: int) -> None:
+        self.labels, self.coords, self.floor, self.steps = ([None] * cells for _ in range(4))
+
+
 class GridMap(FrozenRecord):
     """Immutable tile grid with optional start/end tiles.
 
@@ -57,26 +74,12 @@ class GridMap(FrozenRecord):
     ``end`` are always read off the tiles; the arguments of those names are
     ignored.
 
-    ``label_cache`` is the map's table of observation labels, one slot per
-    cell ``y * width + x``, empty until an environment fills it.  It belongs
-    to the passability layout: ``with_endpoints`` only moves the start and
-    end among passable cells, so its copies share their source's table.  A
-    map built any other way (constructed, parsed, generated, pickled or
-    copied) starts with a table of its own.  The table is not a field:
+    ``layout`` is the map's ``Layout``, made when the map is built and
+    passed on to its ``with_endpoints`` copies.  It is not a field:
     equality, hashing, the repr and pickling ignore it.
-
-    ``_layout`` is the rest of the layout's store: a tuple of three more
-    tables of one slot per cell, filled as they are read.  In order, they
-    hold each cell's ``Coord``, filled by an environment with the cell's
-    label, and its floor ``StateTerm`` ``(id, Coord, "f")`` and the
-    planner's step list out of it, filled by ``model.ActionBackground``.  The store follows
-    ``label_cache``'s rules: endpoint copies share it, any other map has
-    its own, and it is not a field.  Its states and steps read every
-    passable cell as floor; a planner patches the steps next to its own
-    map's start and end.
     """
 
-    __slots__ = ("id", "width", "height", "tiles", "start", "end", "label_cache", "_layout")
+    __slots__ = ("id", "width", "height", "tiles", "start", "end", "layout")
     _fields = ("id", "width", "height", "tiles", "start", "end")
 
     def __init__(self, id: str, width: int, height: int, tiles: tuple[tuple[str, ...], ...],
@@ -93,14 +96,13 @@ class GridMap(FrozenRecord):
         if cells.count(START) > 1 or cells.count(END) > 1:
             raise MapError(f"map {id!r}: multiple start or end tiles")
         start, end = cells.find(START), cells.find(END)
-        n = width * height
         self._set(id, width, height, tiles,
                   Coord(start % width, start // width) if start >= 0 else None,
                   Coord(end % width, end // width) if end >= 0 else None,
-                  [None] * n, ([None] * n, [None] * n, [None] * n))
+                  Layout(width * height))
 
     def _set(self, *values) -> "GridMap":
-        """Set the eight slots, in ``__slots__`` order; returns the map."""
+        """Set the seven slots, in ``__slots__`` order; returns the map."""
         for name, value in zip(GridMap.__slots__, values, strict=True):
             object.__setattr__(self, name, value)
         return self
@@ -192,8 +194,8 @@ def serialize_map(grid: GridMap) -> str:
 
 def with_endpoints(grid: GridMap, start: Coord, end: Coord) -> GridMap:
     """Copy of ``grid`` with start/end moved to the given passable cells.
-    The copy shares ``grid``'s label cache and layout store: no cell's
-    label, ``Coord`` or floor steps change.
+    The copy shares ``grid``'s ``Layout``: no cell's label, ``Coord`` or
+    floor steps change.
 
     The source's tiles are valid and only passable cells are rewritten, to
     passable kinds, so the copy is built without re-validating its tiles:
@@ -210,7 +212,7 @@ def with_endpoints(grid: GridMap, start: Coord, end: Coord) -> GridMap:
         row[c.x] = kind
     return object.__new__(GridMap)._set(grid.id, grid.width, grid.height, tuple(map(tuple, rows)),
                                         Coord(start.x, start.y), Coord(end.x, end.y),
-                                        grid.label_cache, grid._layout)
+                                        grid.layout)
 
 
 def _place_endpoints(rows: list[list[str]], map_id: str, width: int, height: int,

@@ -8,16 +8,17 @@ first-order program.
 
 A background is a set of dyadic ground atoms ``symbol(state, next)``, given
 as any object with two methods over hashable states.  ``successors(state)``
-returns an iterable of (symbol, next state), one for every atom whose first
+returns a sequence of (symbol, next state), one for every atom whose first
 argument unifies with the state, in sorted symbol order (the order of
-``Hypothesis.ordered``); it may be a list the background keeps and returns
-again, so callers must not mutate it.  ``matches_only_equals(goal)`` says
-whether the goal matches exactly its equals among the states the
-background yields, so that both engines test reached states by ``==``
-rather than by ``model.unifies``.  ``ActionBackground`` (the step actions of a map, read
-off its tiles) and ``TupleBackground`` (the controller tuples, read off the
-head of a behaviour suffix) implement it.  A controller-learning state is
-the part of a behaviour not yet consumed, a plain tuple of (q, o, a, q')
+``Hypothesis.ordered``); callers may iterate it twice, and it may be a list
+the background keeps and returns again, so they must not mutate it.
+``matches_only_equals(goal)`` says whether the goal matches exactly its
+equals among the states the background yields, so that both engines test
+reached states by ``==`` rather than by ``model.unifies``.
+``ActionBackground`` (the step actions of a map, read off its tiles) and
+``TupleBackground`` (the controller tuples, read off the head of a
+behaviour suffix) implement it.  A controller-learning state is the part
+of a behaviour not yet consumed, a plain tuple of (q, o, a, q')
 quadruples, and its goal is the empty suffix ``()``;
 ``controller_examples`` encodes behaviours so.
 
@@ -342,23 +343,20 @@ def first_derivation(background, hypothesis: Hypothesis, initial, goal):
     goal_matches = _goal_test(background, goal)
     visited = {initial}
     steps: list = []  # the steps into the states of the current derivation
-    frames = []  # per state on it, from the initial: its untried Tailrec steps
+    frames = []  # per state on it, from the initial: an iterator over its untried steps
     state = initial
     while state is not None:
-        expansions = []
-        for step in successors(state):
-            sym, nxt = step
-            if sym in identity_syms and goal_matches(nxt):
+        out = successors(state)
+        for step in out:
+            if step[0] in identity_syms and goal_matches(step[1]):
                 steps.append(step)
                 return steps
-            if sym in tailrec_syms:
-                expansions.append(step)
-        frames.append(iter(expansions))
+        frames.append(iter(out))
         # Enter the next unvisited Tailrec step, backtracking past spent frames.
         state = None
         while frames and state is None:
             for step in frames[-1]:
-                if step[1] not in visited:
+                if step[0] in tailrec_syms and step[1] not in visited:
                     state = step[1]
                     visited.add(state)
                     steps.append(step)

@@ -4,7 +4,7 @@ A state term bundles a map identifier, a position and the tile kind at that
 position.  Each ordered pair of adjacent passable cells is one ground step
 action, the atom ``step_<direction>(input, output)``.  ``ActionBackground``
 reads these atoms off the map's tiles on a cell's first query, keeps them
-with the map's layout and returns them as (name, output) pairs: planning
+in the map's ``Layout`` and returns them as (name, output) pairs: planning
 asks it at bound positions, learning at an unbound one.
 An unbound query is built from the bound one: it asks every cell in turn.
 ``GroundAction`` values are built only for the map's action listing,
@@ -151,18 +151,18 @@ class ActionBackground:
     which lists them with their input states, by name, then input position.
 
     A cell's step list is read through ``blocked`` on the cell's first
-    query on the layout and kept in the map's layout store
-    (``GridMap._layout``) with the floor ``StateTerm`` of each cell it
-    enters, so every endpoint copy of the map returns the same list and
-    states for that cell.  Only the start and end tiles are not floor: the
-    steps out of their neighbours (at most 8 cells) are this background's
-    own, patched when it is built, with one state each for the start and
-    end.  The returned lists are shared: callers must not mutate them.
+    query on the layout and kept in the map's ``Layout`` (``steps``), with
+    the floor ``StateTerm`` of each cell it enters (``floor``), so every
+    endpoint copy of the map returns the same list and states for that
+    cell.  Only the start and end tiles are not floor: the steps out of
+    their neighbours (at most 8 cells) are this background's own, patched
+    when it is built, with one state each for the start and end.  The
+    returned lists are shared: callers must not mutate them.
     """
 
     def __init__(self, grid: GridMap):
         self.grid = grid
-        _, self._floor, self._layout_steps = grid._layout
+        self._floor, self._layout_steps = grid.layout.floor, grid.layout.steps
         # The layout's step lists, with this map's own patched in below.
         self._steps = self._layout_steps.copy()
         own = {c: _new_tuple(StateTerm, (grid.id, c, grid.tiles[c.y][c.x]))

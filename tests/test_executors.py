@@ -277,12 +277,12 @@ class TestSharedLabelCache:
         the last only part way), give the reference's replies; every label
         in the cache, filled by whichever copy entered its cell first, is a
         fresh ``observe`` on the source and on every copy."""
-        cache = source.label_cache
+        cache = source.layout.labels
         filled_by = {}
         copies = endpoint_copies(source, 6, source.id)
         rng = random.Random(source.id)
         for n, grid in enumerate(copies):
-            assert grid.label_cache is cache
+            assert grid.layout.labels is cache
             order = rng.sample(DIRECTIONS, 4)
             limit = None if n == len(copies) - 1 else 40
             explore(BasicEnvironment(grid), ReferenceEnvironment(grid), order, limit)
@@ -322,7 +322,7 @@ class TestSharedLabelCache:
         """A cell's ``Coord`` is filled with its label, once per layout: the
         trails of endpoint copies share the objects."""
         lake = fixture_map("lake_04")
-        coords = lake._layout[0]
+        coords = lake.layout.coords
         seen = {}
         for grid in endpoint_copies(lake, 4, "lake_04"):
             env = BasicEnvironment(grid)
@@ -330,7 +330,7 @@ class TestSharedLabelCache:
             for c in env.trail:
                 assert c is coords[c.y * lake.width + c.x] and type(c) is Coord
                 assert seen.setdefault(c, c) is c
-        assert {i for i, label in enumerate(lake.label_cache) if label is not None} == {
+        assert {i for i, label in enumerate(lake.layout.labels) if label is not None} == {
             i for i, c in enumerate(coords) if c is not None}
 
     @pytest.mark.parametrize("kind, slam", [(BACKTRACKING, False), (BACKTRACKING, True),
@@ -344,7 +344,7 @@ class TestSharedLabelCache:
         assert [tag for tag, _ in env.exchanged if tag in ("obs", "action")] == ["obs"]
         assert (result.outcome, result.steps, result.trace) == (EXHAUSTED, 0, ())
         assert env.trail == (grid.start,)
-        assert grid.label_cache[0] == "uuuu" and grid.label_cache[2] is None
+        assert grid.layout.labels[0] == "uuuu" and grid.layout.labels[2] is None
 
 
 class TestBacktracking:

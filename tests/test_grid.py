@@ -26,6 +26,7 @@ from gridnav import (
     zero_map,
 )
 from gridnav.fixtures import _read
+from gridnav.grid import Layout
 
 
 def neighbors(grid: GridMap, c: Coord) -> list[tuple[str, Coord]]:
@@ -218,7 +219,7 @@ class TestWithEndpointsCopy:
         assert (copy_.start, copy_.end) == (reference.start, reference.end) == (start, end)
         assert type(copy_.start) is Coord and type(copy_.end) is Coord
         assert all(type(row) is tuple for row in copy_.tiles)
-        assert copy_.label_cache is source.label_cache
+        assert copy_.layout is source.layout
 
     def test_copies_equal_validated_maps(self):
         sources = [fixture_map(name) for name in map_fixture_names()]
@@ -254,28 +255,26 @@ class TestWithEndpointsCopy:
 
 
 def filled_lake():
-    """A fresh lake fixture whose label cache holds every passable cell's
-    label, and whose layout store (``GridMap._layout``) holds every passable
-    cell's ``Coord``, floor state and step list."""
+    """A fresh lake fixture whose ``Layout`` holds every passable cell's
+    label, ``Coord``, floor state and step list."""
     lake = fixture_map("lake_01")
     for c in lake.passable_cells():
-        lake.label_cache[c.y * lake.width + c.x] = observe(lake, c)
-        lake._layout[0][c.y * lake.width + c.x] = c
+        lake.layout.labels[c.y * lake.width + c.x] = observe(lake, c)
+        lake.layout.coords[c.y * lake.width + c.x] = c
     instantiate_actions(lake)
     return lake
 
 
 class TestLabelCache:
-    """The label cache and the layout store follow one set of rules."""
+    """The ``Layout`` holding the label cache and the planner's tables:
+    endpoint copies share their source's, and it is not a field."""
 
     def test_endpoint_copies_and_their_copies_share_the_cache(self):
         lake = fixture_map("lake_01")
         a, b, c = sorted(lake.passable_cells())[:3]
         copy_ = with_endpoints(lake, a, b)
-        assert copy_.label_cache is lake.label_cache
-        assert with_endpoints(copy_, b, c).label_cache is lake.label_cache
-        assert copy_._layout is lake._layout
-        assert with_endpoints(copy_, b, c)._layout is lake._layout
+        assert copy_.layout is lake.layout
+        assert with_endpoints(copy_, b, c).layout is lake.layout
 
     def test_maps_built_any_other_way_have_a_fresh_cache(self):
         lake = filled_lake()
@@ -291,32 +290,30 @@ class TestLabelCache:
             copy.copy(lake),
             copy.deepcopy(lake),
         ]
-        assert all(map(any, lake._layout))
+        filled = [getattr(lake.layout, name) for name in Layout.__slots__]
+        assert all(map(any, filled))
         for other in others:
             empty = [None] * (other.width * other.height)
-            assert other.label_cache is not lake.label_cache
-            assert other.label_cache == empty
-            assert other._layout is not lake._layout and len(other._layout) == 3
-            for table, filled in zip(other._layout, lake._layout):
-                assert table is not filled and table == empty
+            assert other.layout is not lake.layout
+            for name, table in zip(Layout.__slots__, filled):
+                assert getattr(other.layout, name) is not table
+                assert getattr(other.layout, name) == empty
 
     def test_equality_hash_repr_and_pickling_ignore_the_cache(self):
         lake, twin = filled_lake(), fixture_map("lake_01")
-        assert lake.label_cache != twin.label_cache and lake._layout != twin._layout
+        assert all(getattr(lake.layout, name) != getattr(twin.layout, name)
+                   for name in Layout.__slots__)
         assert lake == twin and hash(lake) == hash(twin) and repr(lake) == repr(twin)
-        assert "label_cache" not in repr(lake) and "_layout" not in repr(lake)
+        assert "layout" not in repr(lake)
         assert pickle.loads(pickle.dumps(lake)) == lake
         assert lake.__reduce__() == twin.__reduce__()
         moved = with_endpoints(lake, lake.end, lake.start)
-        assert moved != lake and moved.label_cache is lake.label_cache
-        assert moved._layout is lake._layout
+        assert moved != lake and moved.layout is lake.layout
 
     def test_cache_is_not_assignable(self):
         lake = fixture_map("lake_01")
         with pytest.raises(AttributeError):
-            lake.label_cache = []
-        with pytest.raises(AttributeError):
-            lake._layout = ()
+            lake.layout = Layout(lake.width * lake.height)
 
 
 class TestMazeGenerator:

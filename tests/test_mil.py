@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from itertools import product
 
 import pytest
@@ -20,9 +21,12 @@ from gridnav import (
     TupleBackground,
     UNKNOWN,
     UnlearnableError,
+    fixture_map,
     generalized_example,
     generate_behaviours,
+    generate_maze,
     hypothesis_to_tuples,
+    lake_fixture_names,
     learn,
     learn_controller,
     learn_solver,
@@ -30,6 +34,7 @@ from gridnav import (
     parse_map,
     problem_from_map,
     prove,
+    with_endpoints,
     zero_map,
 )
 from gridnav.mil import first_derivation
@@ -291,6 +296,47 @@ class TestFirstDerivationGoalTest:
         goal = StateTerm("zero", Coord(1, 1), "f")
         steps = first_derivation(zero_background(), Hypothesis.of(clauses, "s"), initial, goal)
         assert (None if steps is None else tuple(direction_of(n) for n, _ in steps)) == labels
+
+
+class ReplyLog:
+    """A background that keeps each reply of ``inner`` beside a snapshot of
+    it, and returns the reply itself or, with ``copy``, ``copy(reply)``."""
+
+    def __init__(self, inner, copy=None):
+        self.inner, self.copy, self.replies = inner, copy, []
+        self.matches_only_equals = inner.matches_only_equals
+
+    def successors(self, state):
+        reply = self.inner.successors(state)
+        self.replies.append((reply, tuple(reply)))
+        return reply if self.copy is None else self.copy(reply)
+
+
+class TestBackgroundProtocol:
+    def test_first_derivation_reads_any_sequence_and_mutates_no_reply(
+            self, solver_hypothesis, maze_a):
+        """A background whose ``successors`` returns tuple copies gives the
+        derivations of the plain one, on ``maze_a``, the lake fixtures and a
+        21x21 maze and on endpoint copies of each; every list the plain
+        background returned, its layout's own among them, is unchanged
+        after the search."""
+        sources = [maze_a, *map(fixture_map, lake_fixture_names()), generate_maze(21, 21, 0)]
+        solved = lists = 0
+        for source in sources:
+            rng = random.Random(source.id)
+            cells = source.passable_cells()
+            for grid in [source, *(with_endpoints(source, *rng.sample(cells, 2)) for _ in range(4))]:
+                problem = problem_from_map(grid)
+                plain = ReplyLog(ActionBackground(grid))
+                copied = ReplyLog(ActionBackground(grid), tuple)
+                steps = first_derivation(plain, solver_hypothesis, problem.initial, problem.goal)
+                assert first_derivation(copied, solver_hypothesis,
+                                        problem.initial, problem.goal) == steps
+                solved += steps is not None
+                for reply, snapshot in plain.replies:
+                    assert tuple(reply) == snapshot
+                    lists += type(reply) is list
+        assert solved > 30 and lists > 1000
 
 
 class TestHypothesisText:

@@ -200,7 +200,7 @@ class TestActionBackground:
             assert list(background.successors(StateTerm("other", cell, UNKNOWN))) == []
             assert list(background.successors(StateTerm(grid.id, cell, "w"))) == []
 
-    def test_cell_state_built_once_per_layout(self, maze_a):
+    def test_layout_builds_each_floor_state_once(self, maze_a):
         """A floor cell's output state is built once per layout: backgrounds
         on the map and on its endpoint copies yield the one object.  The
         start's and end's states are each background's own, and a map
@@ -281,8 +281,9 @@ def endpoint_turns(source):
 
 
 class TestLayoutStore:
-    """Endpoint copies share the planner's floor states and step lists; each
-    background patches the steps into its own start and end."""
+    """Endpoint copies share the planner's floor states and step lists in
+    their ``Layout``; each background patches the steps into its own start
+    and end."""
 
     @pytest.mark.parametrize("source", shared_cache_sources(), ids=lambda g: g.id)
     def test_copies_taking_turns_through_one_store_equal_the_reference(self, source):
@@ -290,7 +291,7 @@ class TestLayoutStore:
         each cell in turn, so each one reads lists that others filled after
         it was built; every reply equals a fresh reference for its copy."""
         turns = endpoint_turns(source)
-        assert all(grid._layout is source._layout for grid in turns)
+        assert all(grid.layout is source.layout for grid in turns)
         references = [actions_by_input(reference_actions(grid)) for grid in turns]
         backgrounds = []
         for grid in turns:

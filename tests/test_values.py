@@ -226,8 +226,8 @@ NAMED_TUPLES = (StateTerm, GroundAction, PlanningProblem, DefiniteClause, TraceS
 def samples(solver_hypothesis, learned_controller, controller_a, maze_a, maze_b):
     """A few instances of every replaced class, read off pipeline runs; some
     pairs are equal without being the same object.  The runs fill
-    ``maze_a``'s label cache, shared with its endpoint copy, so the GridMap
-    pins compare maps with a filled and with an empty cache."""
+    ``maze_a``'s ``Layout``, shared with its endpoint copy, so the GridMap
+    pins compare maps with a filled and with an empty layout."""
     solver = solver_hypothesis
     runs = [execute(learned_controller, BasicEnvironment(maze_a), ExecutorConfig(kind, slam))
             for kind in (BACKTRACKING, REVERSING) for slam in (False, True)]

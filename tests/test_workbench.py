@@ -29,7 +29,7 @@ from gridnav import (
     solve,
     zero_map,
 )
-from gridnav import workbench
+from gridnav import cli, workbench
 from gridnav.cli import main as cli_main
 from gridnav.workbench import REPORT_HEADER, controller_examples
 
@@ -377,6 +377,25 @@ class TestCli:
         assert result.returncode == 0
         assert "solver" in result.stdout
         assert csv_path.read_text().startswith("instance,agent,outcome,steps")
+
+    def test_experiment_with_an_unwritable_csv_path_fails_before_the_run(
+            self, tmp_path, capsys, monkeypatch):
+        runs = count_calls(monkeypatch, cli, "run_experiment")
+        csv_path = tmp_path / "no" / "dir" / "rows.csv"
+        argv = ["experiment", "--agent", "solver", "--env", "lake", "--csv", str(csv_path)]
+        assert cli_main(argv) == 2
+        out, err = capsys.readouterr()
+        assert (out, runs) == ("", [])
+        assert err.startswith("error:") and "rows.csv" in err
+
+    def test_experiment_csv_replaces_an_existing_file_with_the_report(self, tmp_path, capsys):
+        csv_path = tmp_path / "rows.csv"
+        csv_path.write_text("stale\n" * 1000)
+        argv = ["experiment", "--agent", "solver", "--env", "lake", "--csv", str(csv_path)]
+        assert cli_main(argv) == 0
+        report = run_experiment(ExperimentSpec.desk_lake("solver"))
+        assert csv_path.read_bytes() == report.to_csv().encode()
+        assert capsys.readouterr().out.splitlines()[1] == report.table_row()
 
     def test_experiment_applies_the_budget(self, tmp_path):
         csv_path = tmp_path / "rows.csv"
