@@ -61,7 +61,9 @@ class Metarule(Enum):
     __hash__ = object.__hash__
 
 
-METARULES = (Metarule.IDENTITY, Metarule.TAILREC)
+# The members as module globals too: reading one off the Enum class is a
+# Python-level descriptor call, and ``learn`` reads one per clause.
+IDENTITY, TAILREC = METARULES = (Metarule.IDENTITY, Metarule.TAILREC)
 
 
 class LearningError(Exception):
@@ -142,8 +144,8 @@ class Hypothesis(FrozenRecord):
         """The Identity and the Tailrec body symbols, as sets."""
         sets = self._symbol_sets
         if sets is None:
-            sets = (frozenset(c.body_symbol for c in self.clauses if c.metarule is Metarule.IDENTITY),
-                    frozenset(c.body_symbol for c in self.clauses if c.metarule is Metarule.TAILREC))
+            sets = (frozenset(c.body_symbol for c in self.clauses if c.metarule is IDENTITY),
+                    frozenset(c.body_symbol for c in self.clauses if c.metarule is TAILREC))
             object.__setattr__(self, "_symbol_sets", sets)
         return sets
 
@@ -231,7 +233,8 @@ def controller_examples(behaviours) -> list:
             raise ValueError("behaviour must contain at least one tuple")
         first = behaviour[0][1:]
         rest = tuple(behaviour[1:])
-        examples += [(((q,) + first,) + rest, ()) for q in CONTROLLER_STATES]
+        for q in CONTROLLER_STATES:
+            examples.append((((q,) + first,) + rest, ()))
     return examples
 
 
@@ -293,8 +296,7 @@ def prove(initial, goal, background) -> frozenset:
     identity, tailrec, reaching = _top_program((initial,), goal, background)
     if initial not in reaching:
         return frozenset()
-    return frozenset([(Metarule.IDENTITY, sym) for sym in identity]
-                     + [(Metarule.TAILREC, sym) for sym in tailrec])
+    return frozenset([(IDENTITY, sym) for sym in identity] + [(TAILREC, sym) for sym in tailrec])
 
 
 def learn(examples, background, *, target: str) -> Hypothesis:
@@ -309,20 +311,31 @@ def learn(examples, background, *, target: str) -> Hypothesis:
     examples = list(examples)
     if not examples:
         raise ValueError("at least one example is required")
-    pairs = [(example.initial, example.goal) if isinstance(example, PlanningProblem) else example
-             for example in examples]
     initials_by_goal: dict = {}
-    for initial, goal in pairs:
-        initials_by_goal.setdefault(goal, []).append(initial)
+    for example in examples:
+        initial, goal = ((example.initial, example.goal) if isinstance(example, PlanningProblem)
+                         else example)
+        initials = initials_by_goal.get(goal)
+        if initials is None:
+            initials_by_goal[goal] = [initial]
+        else:
+            initials.append(initial)
     clauses = set()
     reaching_by_goal = {}
+    learnable = True
     for goal, initials in initials_by_goal.items():
-        identity, tailrec, reaching_by_goal[goal] = _top_program(initials, goal, background)
-        clauses.update([_new_tuple(DefiniteClause, (Metarule.IDENTITY, target, sym)) for sym in identity])
-        clauses.update([_new_tuple(DefiniteClause, (Metarule.TAILREC, target, sym)) for sym in tailrec])
-    for example, (initial, goal) in zip(examples, pairs):
-        if initial not in reaching_by_goal[goal]:
-            raise UnlearnableError(f"no derivation exists for example {example!r}")
+        identity, tailrec, reaching = _top_program(initials, goal, background)
+        reaching_by_goal[goal] = reaching
+        clauses.update([_new_tuple(DefiniteClause, (IDENTITY, target, sym)) for sym in identity])
+        clauses.update([_new_tuple(DefiniteClause, (TAILREC, target, sym)) for sym in tailrec])
+        if not reaching.issuperset(initials):
+            learnable = False
+    if not learnable:
+        for example in examples:
+            initial, goal = ((example.initial, example.goal) if isinstance(example, PlanningProblem)
+                             else example)
+            if initial not in reaching_by_goal[goal]:
+                raise UnlearnableError(f"no derivation exists for example {example!r}")
     return Hypothesis.of(clauses, target)
 
 
@@ -371,11 +384,11 @@ def first_derivation(background, hypothesis: Hypothesis, initial, goal):
 def hypothesis_to_tuples(hypothesis: Hypothesis) -> FSC:
     """Project a controller program onto its tuple set: the deduplicated
     ground 4-tuples named by the clause bodies."""
-    tuples = set()
-    for clause in hypothesis.clauses:
-        if not isinstance(clause.body_symbol, FSCTuple):
-            raise LearningError(
-                f"clause body {clause.body_symbol!r} is not a controller tuple"
-            )
-        tuples.add(clause.body_symbol)
-    return FSC.of(tuples)
+    bodies = [clause.body_symbol for clause in hypothesis.clauses]
+    # One C-level pass over the body types; only when some body is not
+    # exactly an ``FSCTuple`` does the scan run, to name a non-tuple body.
+    if not {FSCTuple}.issuperset(map(type, bodies)):
+        for body in bodies:
+            if not isinstance(body, FSCTuple):
+                raise LearningError(f"clause body {body!r} is not a controller tuple")
+    return FSC.of(bodies)

@@ -102,7 +102,8 @@ def instantiate_actions(grid: GridMap) -> tuple[GroundAction, ...]:
     by direction, with tile kinds read from the map; sorted by name, then
     input position.  It is the map's action listing, read off the
     background's bound queries."""
-    return tuple(GroundAction(*step) for step in ActionBackground(grid)._listing(UNKNOWN))
+    listing = ActionBackground(grid)._listing(UNKNOWN, inputs=True)
+    return tuple(GroundAction(*step) for step in listing)
 
 
 def generalized_example(map_id: str) -> PlanningProblem:
@@ -165,21 +166,24 @@ class ActionBackground:
         self._floor, self._layout_steps = grid.layout.floor, grid.layout.steps
         # The layout's step lists, with this map's own patched in below.
         self._steps = self._layout_steps.copy()
-        own = {c: _new_tuple(StateTerm, (grid.id, c, grid.tiles[c.y][c.x]))
-               for c in (grid.start, grid.end) if c is not None}
-
-        def steps_at(pos: Coord) -> list:
-            steps = self._steps[pos.y * grid.width + pos.x]
-            if steps is None:
-                steps = self.successors(_new_tuple(StateTerm, (grid.id, pos, UNKNOWN)))
-            return steps
-
+        own = {}
+        for c in (grid.start, grid.end):
+            if c is not None:
+                own[c] = _new_tuple(StateTerm, (grid.id, c, grid.tiles[c.y][c.x]))
         # The steps out of the start's and end's neighbours are this map's own.
         for c in own:
-            for _, nxt in steps_at(c):
+            for _, nxt in self._steps_at(c):
                 n = nxt.pos
                 self._steps[n.y * grid.width + n.x] = [(name, own.get(state.pos, state))
-                                                       for name, state in steps_at(n)]
+                                                       for name, state in self._steps_at(n)]
+
+    def _steps_at(self, pos: Coord) -> list:
+        """The steps out of a passable cell, as this background has them."""
+        grid = self.grid
+        steps = self._steps[pos.y * grid.width + pos.x]
+        if steps is None:
+            steps = self.successors(_new_tuple(StateTerm, (grid.id, pos, UNKNOWN)))
+        return steps
 
     @staticmethod
     def matches_only_equals(goal: StateTerm) -> bool:
@@ -194,7 +198,7 @@ class ActionBackground:
         if map_id != grid.id:
             return ()
         if pos is UNKNOWN:
-            return [(name, nxt) for name, _, nxt in self._listing(state_tile)]
+            return self._listing(state_tile, inputs=False)
         width = grid.width
         x, y = pos
         if not (0 <= x < width and 0 <= y < grid.height):
@@ -220,17 +224,25 @@ class ActionBackground:
         self._steps[i] = self._layout_steps[i] = steps
         return steps
 
-    def _listing(self, tile) -> list:
+    def _listing(self, tile, *, inputs: bool) -> list:
         """(name, input state, output state) of every step out of a cell
-        whose tile unifies with ``tile``: each cell's bound query, cells in
-        ``Coord`` order, stably sorted by action name.  A query that yields
-        a step is its input state: a bound ``tile`` is the cell's tile."""
+        whose tile unifies with ``tile``, or (name, output state) without
+        ``inputs``: each cell's bound query, cells in ``Coord`` order,
+        stably sorted by action name.  A query that yields a step is its
+        input state: a bound ``tile`` is the cell's tile.  The bound query
+        reads only the fields of its state, so it is a plain tuple, and an
+        input ``StateTerm`` is built only for a cell that has steps."""
         grid = self.grid
+        map_id, tiles = grid.id, grid.tiles
         listing = []
         for x in range(grid.width):
             for y in range(grid.height):
-                here = _new_tuple(StateTerm, (grid.id, _new_tuple(Coord, (x, y)),
-                                              grid.tiles[y][x] if tile is UNKNOWN else tile))
-                listing += [(name, here, nxt) for name, nxt in self.successors(here)]
+                query = (map_id, (x, y), tiles[y][x] if tile is UNKNOWN else tile)
+                steps = self.successors(query)
+                if not inputs:
+                    listing += steps
+                elif steps:
+                    here = _new_tuple(StateTerm, (map_id, _new_tuple(Coord, (x, y)), query[2]))
+                    listing += [(name, here, nxt) for name, nxt in steps]
         listing.sort(key=itemgetter(0))
         return listing

@@ -14,7 +14,6 @@ from .model import (
     StateTerm,
     _DIRECTION_FOR_NAME,
     _new_tuple,
-    direction_of,
     problem_from_map,
 )
 from .record import FrozenRecord
@@ -144,7 +143,7 @@ def generate_behaviours(matrices, hypothesis: Hypothesis) -> tuple[tuple[FSCTupl
             q, pos = "q0", center
             behaviour = []
             for name, nxt in steps:
-                a = direction_of(name)
+                a = _DIRECTION_FOR_NAME[name]
                 o = label if pos == center else observe(matrix, pos)
                 q_next = STATE_FOR_ACTION[a]
                 behaviour.append(interned(q, o, a, q_next))

@@ -18,6 +18,7 @@ from gridnav import (
     Hypothesis,
     Metarule,
     OBSERVATION_LABELS,
+    PlanningProblem,
     TupleBackground,
     UNKNOWN,
     UnlearnableError,
@@ -129,6 +130,30 @@ class TestLearn:
         background = ActionBackground(grid)
         with pytest.raises(UnlearnableError):
             learn([problem_from_map(grid)], background, target="s")
+
+    def test_unlearnable_error_names_the_earliest_unlearnable_example(self):
+        # Two components, {0/0, 1/0} and {0/2, 1/2}; goals 1/2 and 0/0 in
+        # that order of first use.  Examples 2 and 3 cross the wall, and the
+        # earlier one is in the second goal's group.
+        grid = parse_map("sf\nww\nfe", "split")
+
+        def state(x, y):
+            return StateTerm(grid.id, Coord(x, y), grid.tile_at(Coord(x, y)))
+
+        def problem(start, goal):
+            return PlanningProblem(grid.id, state(*start), state(*goal))
+
+        examples = [problem((0, 2), (1, 2)), problem((1, 0), (0, 0)), problem((0, 2), (0, 0)),
+                    problem((1, 0), (1, 2)), problem((1, 2), (1, 2))]
+        with pytest.raises(UnlearnableError) as raised:
+            learn(examples, ActionBackground(grid), target="s")
+        assert str(raised.value) == f"no derivation exists for example {examples[2]!r}"
+        learnable = [examples[0], examples[1], examples[4]]
+        assert learn(learnable, ActionBackground(grid), target="s").to_text() == (
+            "s(A,B) :- step_left(A,B).\n"
+            "s(A,B) :- step_right(A,B).\n"
+            "s(A,B) :- step_left(A,C), s(C,B).\n"
+            "s(A,B) :- step_right(A,C), s(C,B).\n")
 
     def test_requires_examples(self):
         with pytest.raises(ValueError):
