@@ -94,6 +94,7 @@ def _cmd_experiment(args) -> int:
         spec = ExperimentSpec.desk_lake(args.agent, seed=args.seed, full=args.full)
     if args.budget is not None:
         spec = spec._replace(step_budget=args.budget)
+    spec.check()  # a rejected spec leaves no CSV file behind
     if args.csv:
         open(args.csv, "a").close()  # an unwritable path fails here, not after the run
     report = run_experiment(spec)

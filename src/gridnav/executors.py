@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .fsc import FSC, STATE_FOR_ACTION, observe, reverse_pair
-from .grid import DIRECTIONS, Coord, GridMap
+from .grid import DELTA, DIRECTIONS, Coord, GridMap
 from .record import FrozenRecord, Record
 from .slam import SlamMap, slam_move, slam_permits, slam_update
 
@@ -44,12 +44,10 @@ class BasicEnvironment:
 
     The position is a flat cell index, ``y * width + x``.  A move is legal
     exactly when the current cell's label reads ``p`` in its direction,
-    and it adds the direction's offset (+width up, +1 right, -width down,
-    -1 left) to the position.  Labels and ``Coord``s are kept in the map's
-    ``Layout``, which the map shares with every ``with_endpoints`` copy of
-    it, so ``observe`` runs only for a cell that no run on that layout has
-    entered.  The trail holds cell indices; ``trail`` turns them into the
-    layout's ``Coord``s.
+    and it adds the direction's ``DELTA`` as a flat offset to the position.
+    It fills the map's ``Layout`` tables ``labels`` and ``coords``, a
+    cell's label and ``Coord`` when a run first enters it.  The trail holds
+    cell indices; ``trail`` turns them into the layout's ``Coord``s.
     """
 
     supports_checkpoint = True
@@ -60,11 +58,10 @@ class BasicEnvironment:
         start, end = grid.require_endpoints()
         width = grid.width
         # Each action's place in a label and the offset of its move.
-        self._moves = dict(zip(DIRECTIONS, ((0, width), (1, 1), (2, -width), (3, -1))))
+        self._moves = {d: (k, DELTA[d][0] + DELTA[d][1] * width) for k, d in enumerate(DIRECTIONS)}
         self._end = end.y * width + end.x
-        self._start = self._pos = start.y * width + start.x
-        self._trail = [self._start]
-        self._label(self._start)
+        self._start = start.y * width + start.x
+        self.reset()
         self._tokens: dict[int, int] = {}
         self._states: list[int] = []
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterable, NamedTuple
 
-from .grid import DIRECTIONS, OPPOSITE, PASSABLE_TILES, Coord, GridMap, MapError, blocked
+from .grid import DIRECTIONS, OPPOSITE, PASSABLE_TILES, Coord, GridMap, MapError, blocked, text_lines
 from .record import FrozenRecord
 
 CONTROLLER_STATES = ("q0", "q1", "q2", "q3")
@@ -153,7 +153,7 @@ class FSC(FrozenRecord):
     @classmethod
     def from_text(cls, text: str) -> "FSC":
         tuples: set[FSCTuple] = set()
-        for n, line in enumerate(text.removeprefix("\ufeff").splitlines()):
+        for n, line in enumerate(text_lines(text)):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue

@@ -50,14 +50,15 @@ class Coord(NamedTuple):
 
 class Layout:
     """A passability layout's tables, one slot per cell ``y * width + x``,
-    each empty until read.  A map's ``with_endpoints`` copies share its
-    layout, as moving the start and end changes no passability; any other
-    map (constructed, parsed, generated, pickled or copied) has its own.
-    An environment fills ``labels`` and ``coords`` (observation labels and
-    ``Coord``s); ``model.ActionBackground`` fills ``floor`` and ``steps``
-    (floor ``StateTerm``s ``(id, Coord, "f")`` and step lists), reading
-    every passable cell as floor and patching the steps next to its own
-    map's start and end."""
+    each empty until read: observation labels and ``Coord``s (``labels``,
+    ``coords``), and floor ``StateTerm``s ``(id, Coord, "f")`` and step
+    lists (``floor``, ``steps``).
+
+    A map's ``with_endpoints`` copies share its layout, as moving the start
+    and end changes no passability; any other map (constructed, parsed,
+    generated, pickled or copied) has its own.  So the tables read every
+    passable cell as floor, and each ``model.ActionBackground`` patches the
+    steps into its own map's start and end in its own copy of ``steps``."""
 
     __slots__ = ("labels", "coords", "floor", "steps")
 
@@ -74,9 +75,8 @@ class GridMap(FrozenRecord):
     ``end`` are always read off the tiles; the arguments of those names are
     ignored.
 
-    ``layout`` is the map's ``Layout``, made when the map is built and
-    passed on to its ``with_endpoints`` copies.  It is not a field:
-    equality, hashing, the repr and pickling ignore it.
+    ``layout`` is the map's ``Layout``.  It is not a field: equality,
+    hashing, the repr and pickling ignore it.
     """
 
     __slots__ = ("id", "width", "height", "tiles", "start", "end", "layout")
@@ -149,20 +149,25 @@ def blocked(grid: GridMap, x: int, y: int) -> int:
             + (0 if x > 0 and row[x - 1] in PASSABLE_TILES else 1))
 
 
+def text_lines(text: str) -> list[str]:
+    """The lines of a map, controller or solver text: one leading
+    byte-order mark is dropped, and a line ends at LF, with an optional CR
+    before it.  Any other control character stays inside its line."""
+    return text.removeprefix("\ufeff").replace("\r\n", "\n").split("\n")
+
+
 def parse_map(text: str, map_id: str) -> GridMap:
     """Parse map-file text (top row first) into a GridMap.
 
     Reports ragged rows, unknown characters and missing or duplicated
     start/end tiles with their row/column position (rows counted from the
-    top of the file, columns from the left, both 0-based).  One leading
-    byte-order mark is dropped and CRLF line ends read as LF; any other
-    carriage return is a bad character.
+    top of the file, columns from the left, both 0-based).  Rows are the
+    ``text_lines``; a carriage return left inside one is a bad character.
     """
-    text = text.removeprefix("\ufeff").replace("\r\n", "\n")
-    if not text.strip():
+    rows = text_lines(text)
+    if not "".join(rows).strip():
         raise MapError(f"map {map_id!r}: empty map text")
-    rows = text.split("\n")
-    if rows and rows[-1] == "":
+    if rows[-1] == "":
         rows.pop()
     width = len(rows[0])
     starts: list[tuple[int, int]] = []
@@ -193,9 +198,8 @@ def serialize_map(grid: GridMap) -> str:
 
 
 def with_endpoints(grid: GridMap, start: Coord, end: Coord) -> GridMap:
-    """Copy of ``grid`` with start/end moved to the given passable cells.
-    The copy shares ``grid``'s ``Layout``: no cell's label, ``Coord`` or
-    floor steps change.
+    """Copy of ``grid`` with start/end moved to the given passable cells,
+    sharing ``grid``'s ``Layout``.
 
     The source's tiles are valid and only passable cells are rewritten, to
     passable kinds, so the copy is built without re-validating its tiles:

@@ -49,6 +49,7 @@ from typing import Iterable, NamedTuple
 
 from .fsc import (ACTION_LABELS, CONTROLLER_STATES, FSC, OBSERVATION_LABELS, FSCError, FSCTuple,
                   _INTERNED, interned)
+from .grid import text_lines
 from .model import UNKNOWN, PlanningProblem, _new_tuple, unifies
 from .record import FrozenRecord
 
@@ -158,7 +159,7 @@ class Hypothesis(FrozenRecord):
         tailrec = re.compile(r"^(\w+)\(A,B\)\s*:-\s*(\w+)\(A,C\),\s*(\w+)\(C,B\)\.$")
         clauses = []
         target = None
-        for n, line in enumerate(text.removeprefix("\ufeff").splitlines()):
+        for n, line in enumerate(text_lines(text)):
             line = line.strip()
             if not line or line.startswith("%"):
                 continue

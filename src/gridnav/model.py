@@ -3,9 +3,8 @@
 A state term bundles a map identifier, a position and the tile kind at that
 position.  Each ordered pair of adjacent passable cells is one ground step
 action, the atom ``step_<direction>(input, output)``.  ``ActionBackground``
-reads these atoms off the map's tiles on a cell's first query, keeps them
-in the map's ``Layout`` and returns them as (name, output) pairs: planning
-asks it at bound positions, learning at an unbound one.
+reads these atoms off the map's tiles and returns them as (name, output)
+pairs: planning asks it at bound positions, learning at an unbound one.
 An unbound query is built from the bound one: it asks every cell in turn.
 ``GroundAction`` values are built only for the map's action listing,
 ``instantiate_actions``, and for a plan's own steps.
@@ -50,10 +49,6 @@ def action_name(direction: str) -> str:
 
 
 _DIRECTION_FOR_NAME = {action_name(d): d for d in DIRECTIONS}
-
-
-def direction_of(name: str) -> str:
-    return _DIRECTION_FOR_NAME[name]
 
 
 def _term(value) -> str:
@@ -151,39 +146,27 @@ class ActionBackground:
     and stably sorts the steps by name: the order of ``instantiate_actions``,
     which lists them with their input states, by name, then input position.
 
-    A cell's step list is read through ``blocked`` on the cell's first
-    query on the layout and kept in the map's ``Layout`` (``steps``), with
-    the floor ``StateTerm`` of each cell it enters (``floor``), so every
-    endpoint copy of the map returns the same list and states for that
-    cell.  Only the start and end tiles are not floor: the steps out of
-    their neighbours (at most 8 cells) are this background's own, patched
-    when it is built, with one state each for the start and end.  The
-    returned lists are shared: callers must not mutate them.
+    It fills the map's ``Layout`` tables ``floor`` and ``steps``, a cell's
+    step list on the cell's first query.  The returned lists are shared:
+    callers must not mutate them.
     """
 
     def __init__(self, grid: GridMap):
         self.grid = grid
         self._floor, self._layout_steps = grid.layout.floor, grid.layout.steps
         # The layout's step lists, with this map's own patched in below.
-        self._steps = self._layout_steps.copy()
-        own = {}
+        self._steps = steps = self._layout_steps.copy()
         for c in (grid.start, grid.end):
-            if c is not None:
-                own[c] = _new_tuple(StateTerm, (grid.id, c, grid.tiles[c.y][c.x]))
-        # The steps out of the start's and end's neighbours are this map's own.
-        for c in own:
-            for _, nxt in self._steps_at(c):
+            if c is None:
+                continue
+            # Each neighbour's step into ``c`` enters this map's own state.
+            own = _new_tuple(StateTerm, (grid.id, c, grid.tiles[c.y][c.x]))
+            for _, nxt in self.successors(own):
                 n = nxt.pos
-                self._steps[n.y * grid.width + n.x] = [(name, own.get(state.pos, state))
-                                                       for name, state in self._steps_at(n)]
-
-    def _steps_at(self, pos: Coord) -> list:
-        """The steps out of a passable cell, as this background has them."""
-        grid = self.grid
-        steps = self._steps[pos.y * grid.width + pos.x]
-        if steps is None:
-            steps = self.successors(_new_tuple(StateTerm, (grid.id, pos, UNKNOWN)))
-        return steps
+                i = n.y * grid.width + n.x
+                # A filled slot holds the step into ``c``: only None falls through.
+                old = steps[i] or self.successors(_new_tuple(StateTerm, (grid.id, n, UNKNOWN)))
+                steps[i] = [(name, own if state.pos == c else state) for name, state in old]
 
     @staticmethod
     def matches_only_equals(goal: StateTerm) -> bool:

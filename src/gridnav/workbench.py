@@ -152,6 +152,17 @@ class ExperimentSpec(NamedTuple):
         fixtures = len(lake_fixture_names())
         return cls(agent, "lake", 20, 20, fixtures * rolls, seed)
 
+    def check(self) -> None:
+        """Raise unless the spec names a known agent, at least one instance
+        and a step budget its agent accepts."""
+        if self.agent not in AGENTS:
+            raise ValueError(f"unknown agent {self.agent!r}")
+        if self.instances < 1:
+            raise ValueError(f"an experiment needs at least one instance, got {self.instances}")
+        if self.agent == SOLVER and self.step_budget is not None:
+            raise ValueError(_SOLVER_BUDGET_ERROR)
+        ExecutorConfig(step_budget=self.step_budget)  # raises ExecutorError on a negative budget
+
 
 class InstanceRecord(NamedTuple):
     instance: str
@@ -227,17 +238,9 @@ def run_experiment(spec: ExperimentSpec, *, solver: Hypothesis | None = None,
                    controller: FSC | None = None) -> ExperimentReport:
     """Run the agent over the spec's instance set and aggregate a report row
     plus per-instance records.  Each instance is built just before its run,
-    and neither is kept past it.  A spec naming an unknown agent or
-    environment, fewer than one instance, maze sides that are even or under
-    5, or a step budget its agent rejects raises before anything is
-    learned."""
-    if spec.agent not in AGENTS:
-        raise ValueError(f"unknown agent {spec.agent!r}")
-    if spec.instances < 1:
-        raise ValueError(f"an experiment needs at least one instance, got {spec.instances}")
-    if spec.agent == SOLVER and spec.step_budget is not None:
-        raise ValueError(_SOLVER_BUDGET_ERROR)
-    ExecutorConfig(step_budget=spec.step_budget)  # raises ExecutorError on a negative budget
+    and neither is kept past it.  A spec that ``ExperimentSpec.check`` or
+    ``experiment_instances`` rejects raises before anything is learned."""
+    spec.check()
     instances = experiment_instances(spec)
     if spec.agent == SOLVER:
         solver = solver if solver is not None else learn_solver()

@@ -57,7 +57,7 @@ from gridnav import (
     run_single,
     with_endpoints,
 )
-from gridnav.model import direction_of, unifies
+from gridnav.model import unifies
 
 from test_executors import SpyEnvironment, assert_only_labels_cross
 from test_fsc import tuple_universe
@@ -110,7 +110,7 @@ def sld_plan(grid: GridMap, hypothesis) -> tuple[str, ...] | None:
         return None
 
     symbols = refute(problem.initial, frozenset([problem.initial]))
-    return None if symbols is None else tuple(map(direction_of, symbols))
+    return None if symbols is None else tuple(symbol.removeprefix("step_") for symbol in symbols)
 
 
 def start_has_cycle(grid: GridMap) -> bool:

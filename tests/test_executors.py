@@ -81,6 +81,19 @@ class SpyEnvironment:
         self.inner.restore(token)
 
 
+class MaplessEnvironment:
+    """Wraps an environment and hides its ``grid``, as an environment with
+    no map has none."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def __getattr__(self, name):
+        if name == "grid":
+            raise AttributeError(name)
+        return getattr(self._inner, name)
+
+
 def assert_only_labels_cross(env: SpyEnvironment, observations=OBSERVATION_LABELS) -> None:
     """Only direction labels, observation labels, bools and int tokens
     crossed the spy's boundary."""
@@ -416,6 +429,17 @@ class TestStepBudget:
         run = execute(learned_controller, BasicEnvironment(maze_a), ExecutorConfig(kind, step_budget=0))
         assert run.outcome == BUDGET_EXCEEDED
         assert run.trace == ()
+
+    @pytest.mark.parametrize("kind", [BACKTRACKING, REVERSING])
+    def test_a_mapless_environment_needs_a_step_budget(self, learned_controller, maze_a, kind):
+        env = MaplessEnvironment(BasicEnvironment(maze_a))
+        assert not hasattr(env, "grid")
+        with pytest.raises(ExecutorError, match="^step_budget must be set for map-less environments$"):
+            execute(learned_controller, env, ExecutorConfig(kind))
+        cfg = ExecutorConfig(kind, step_budget=40)
+        run = execute(learned_controller, MaplessEnvironment(BasicEnvironment(maze_a)), cfg)
+        assert run.outcome == SOLVED
+        assert run == execute(learned_controller, BasicEnvironment(maze_a), cfg)
 
     @pytest.mark.parametrize("kind, moves", [(BACKTRACKING, 33), (REVERSING, 26)])
     def test_budget_bounds_accepted_moves_exactly(self, learned_controller, maze_a, kind, moves):

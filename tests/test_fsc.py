@@ -31,6 +31,12 @@ from gridnav import (
 from gridnav.fsc import _INTERNED, interned
 
 
+# The characters other than LF at which ``str.splitlines`` breaks a line.
+# A line of map, controller or solver text ends only at LF (or CRLF), so
+# each of these stays inside its line.
+NOT_LINE_ENDS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029\r"
+
+
 def tuple_universe() -> frozenset[FSCTuple]:
     """All 960 well-formed controller tuples."""
     alphabets = (CONTROLLER_STATES, OBSERVATION_LABELS, ACTION_LABELS, CONTROLLER_STATES)
@@ -299,4 +305,13 @@ class TestControllerFiles:
     def test_comments_and_blanks_ignored(self):
         fsc = FSC.from_text("# header\n\nq0,upuu,right,q1\n")
         assert len(fsc.tuples) == 1
+
+    def test_bom_and_crlf_read_as_plain_lf(self, learned_controller):
+        text = learned_controller.to_text()
+        assert FSC.from_text("\ufeff" + text.replace("\n", "\r\n")) == learned_controller
+
+    @pytest.mark.parametrize("sep", NOT_LINE_ENDS)
+    def test_only_lf_ends_a_line(self, sep):
+        with pytest.raises(FSCError, match="^line 0: expected q,o,a,q'"):
+            FSC.from_text(f"q0,pppp,up,q0{sep}q1,pppp,up,q0\n")
 

@@ -28,6 +28,8 @@ from gridnav import (
 from gridnav.fixtures import _read
 from gridnav.grid import Layout
 
+from test_fsc import NOT_LINE_ENDS
+
 
 def neighbors(grid: GridMap, c: Coord) -> list[tuple[str, Coord]]:
     """Passable von Neumann neighbors as (direction, coordinate) pairs."""
@@ -99,6 +101,12 @@ class TestParse:
     def test_stray_carriage_return_is_an_error(self):
         with pytest.raises(MapError, match="row 0, column 1"):
             parse_map("s\rf\nfe", "bad")
+
+    @pytest.mark.parametrize("sep", NOT_LINE_ENDS)
+    def test_only_lf_ends_a_row(self, sep):
+        with pytest.raises(MapError) as caught:
+            parse_map(f"s{sep}f\nfe", "bad")
+        assert str(caught.value).endswith(f"bad character {sep!r} at row 0, column 1")
 
     def test_rows_fill_top_first(self):
         grid = parse_map("sw\nfe", "orient")

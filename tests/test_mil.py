@@ -16,6 +16,7 @@ from gridnav import (
     FSC,
     FSCTuple,
     Hypothesis,
+    LearningError,
     Metarule,
     OBSERVATION_LABELS,
     PlanningProblem,
@@ -39,11 +40,11 @@ from gridnav import (
     zero_map,
 )
 from gridnav.mil import first_derivation
-from gridnav.model import StateTerm, direction_of, unifies
+from gridnav.model import StateTerm, unifies
 from gridnav.workbench import controller_examples
 
 from test_executors import count_calls
-from test_fsc import tuple_universe
+from test_fsc import NOT_LINE_ENDS, tuple_universe
 
 SOLVER_TEXT = """\
 s(A,B) :- step_down(A,B).
@@ -320,7 +321,7 @@ class TestFirstDerivationGoalTest:
         initial = StateTerm("zero", Coord(0, 0), "f")
         goal = StateTerm("zero", Coord(1, 1), "f")
         steps = first_derivation(zero_background(), Hypothesis.of(clauses, "s"), initial, goal)
-        assert (None if steps is None else tuple(direction_of(n) for n, _ in steps)) == labels
+        assert (None if steps is None else tuple(n.removeprefix("step_") for n, _ in steps)) == labels
 
 
 class ReplyLog:
@@ -373,6 +374,16 @@ class TestHypothesisText:
     def test_rejects_garbage(self):
         with pytest.raises(Exception):
             Hypothesis.from_text("s(A,B) :- nonsense\n")
+
+    def test_bom_and_crlf_read_as_plain_lf(self):
+        hypothesis = Hypothesis.from_text("\ufeff" + SOLVER_TEXT.replace("\n", "\r\n"))
+        assert hypothesis.to_text() == SOLVER_TEXT
+
+    @pytest.mark.parametrize("sep", NOT_LINE_ENDS)
+    def test_only_lf_ends_a_line(self, sep):
+        first, second = SOLVER_TEXT.splitlines()[:2]
+        with pytest.raises(LearningError, match="^line 0: not a metarule instance"):
+            Hypothesis.from_text(f"{first}{sep}{second}\n")
 
     def test_rejects_wrong_recursive_call(self):
         with pytest.raises(Exception):

@@ -388,6 +388,24 @@ class TestCli:
         assert (out, runs) == ("", [])
         assert err.startswith("error:") and "rows.csv" in err
 
+    @pytest.mark.parametrize("agent, budget, error", [
+        ("solver", "5", "error: step_budget applies to controller agents only\n"),
+        ("fsc-bt", "-1", "error: step_budget must be non-negative, got -1\n"),
+    ])
+    def test_experiment_with_a_rejected_spec_writes_no_csv(
+            self, tmp_path, capsys, monkeypatch, agent, budget, error):
+        runs = count_calls(monkeypatch, cli, "run_experiment")
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        old.write_bytes(b"kept\r\n")
+        for path in (new, old):
+            argv = ["experiment", "--agent", agent, "--env", "maze", "--budget", budget,
+                    "--csv", str(path)]
+            assert cli_main(argv) == 2
+            assert capsys.readouterr() == ("", error)
+        assert runs == []
+        assert not new.exists()
+        assert old.read_bytes() == b"kept\r\n"
+
     def test_experiment_csv_replaces_an_existing_file_with_the_report(self, tmp_path, capsys):
         csv_path = tmp_path / "rows.csv"
         csv_path.write_text("stale\n" * 1000)
