@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from .fsc import FSC, STATE_FOR_ACTION, observe, reverse_pair
 from .grid import DELTA, DIRECTIONS, Coord, GridMap
-from .record import FrozenRecord, Record
+from .record import FrozenRecord, Record, new_tuple
 from .slam import SlamMap, slam_move, slam_permits, slam_update
 
 SOLVED = "solved"
@@ -69,7 +69,7 @@ class BasicEnvironment:
         label = self._labels[i]
         if label is None:
             y, x = divmod(i, self.grid.width)
-            coord = self._coords[i] = tuple.__new__(Coord, (x, y))
+            coord = self._coords[i] = new_tuple(Coord, (x, y))
             label = self._labels[i] = observe(self.grid, coord)
         return label
 
@@ -278,7 +278,7 @@ def run_reversing(fsc: FSC, env, cfg: ExecutorConfig) -> ExecutionResult:
         if slam is not None:
             slam_move(slam, a)
             slam_update(slam, obs2)
-        trace.append(tuple.__new__(TraceStep, (q, obs, a, q_next, not forward)))
+        trace.append(new_tuple(TraceStep, (q, obs, a, q_next, not forward)))
         q, obs = q_next, obs2
         if at_goal:
             return _result(SOLVED, trace, env, slam)

@@ -8,6 +8,7 @@ A map is a grid of single-character tiles (floor ``f``, wall ``w``, start
 from __future__ import annotations
 
 import random
+import sys
 from typing import Iterator, NamedTuple, Sequence
 
 from .record import FrozenRecord
@@ -229,12 +230,20 @@ def _place_endpoints(rows: list[list[str]], map_id: str, width: int, height: int
     return GridMap(map_id, width, height, tuple(tuple(r) for r in rows))
 
 
+def _check_size(kind: str, width: int, height: int) -> None:
+    """Raise ``MapError`` unless both sides are at least 5 and a ``Layout``
+    table of ``width * height`` slots can be indexed."""
+    if width < 5 or height < 5:
+        raise MapError(f"{kind} dimensions must be at least 5x5, got {width}x{height}")
+    if width * height > sys.maxsize:
+        raise MapError(f"{kind} dimensions {width}x{height} exceed {sys.maxsize} cells")
+
+
 def _check_maze_size(width: int, height: int) -> None:
-    """Raise ``MapError`` unless both maze sides are odd and at least 5."""
+    """Raise ``MapError`` unless both maze sides are odd and pass ``_check_size``."""
     if width % 2 == 0 or height % 2 == 0:
         raise MapError(f"maze dimensions must be odd, got {width}x{height}")
-    if width < 5 or height < 5:
-        raise MapError(f"maze dimensions must be at least 5x5, got {width}x{height}")
+    _check_size("maze", width, height)
 
 
 # The unit steps in ``DIRECTIONS`` order, for the maze's inner loop.
@@ -285,8 +294,7 @@ def generate_lake(width: int, height: int, seed: int) -> GridMap:
     happen on thin maps: ``generate_lake(7, 5, 430051420)`` and
     ``generate_lake(25, 5, 4198417077)`` do.
     """
-    if width < 5 or height < 5:
-        raise MapError(f"lake dimensions must be at least 5x5, got {width}x{height}")
+    _check_size("lake", width, height)
     ring = [True] * (width + 2)
     for attempt in range(_LAKE_TRIES):
         rng = random.Random(seed * 1009 + attempt)

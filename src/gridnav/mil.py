@@ -50,8 +50,8 @@ from typing import Iterable, NamedTuple
 from .fsc import (ACTION_LABELS, CONTROLLER_STATES, FSC, OBSERVATION_LABELS, FSCError, FSCTuple,
                   _INTERNED, interned)
 from .grid import text_lines
-from .model import UNKNOWN, PlanningProblem, _new_tuple, unifies
-from .record import FrozenRecord
+from .model import UNKNOWN, PlanningProblem, unifies
+from .record import FrozenRecord, new_tuple
 
 
 class Metarule(Enum):
@@ -64,7 +64,7 @@ class Metarule(Enum):
 
 # The members as module globals too: reading one off the Enum class is a
 # Python-level descriptor call, and ``learn`` reads one per clause.
-IDENTITY, TAILREC = METARULES = (Metarule.IDENTITY, Metarule.TAILREC)
+IDENTITY, TAILREC = Metarule.IDENTITY, Metarule.TAILREC
 
 
 class LearningError(Exception):
@@ -94,7 +94,7 @@ class DefiniteClause(NamedTuple):
     body_symbol: object
 
     def to_text(self) -> str:
-        if self.metarule is Metarule.IDENTITY:
+        if self.metarule is IDENTITY:
             return f"{self.target}(A,B) :- {_symbol_text(self.body_symbol, 'A,B')}."
         body = _symbol_text(self.body_symbol, "A,C")
         return f"{self.target}(A,B) :- {body}, {self.target}(C,B)."
@@ -103,17 +103,16 @@ class DefiniteClause(NamedTuple):
 class Hypothesis(FrozenRecord):
     """A duplicate-free set of learned clauses for one target predicate.
 
-    The canonical clause order and the body-symbol sets are built on first
-    use and kept, once per hypothesis."""
+    The body-symbol sets are built on first use and kept, once per
+    hypothesis; the canonical clause order is sorted on each call."""
 
-    __slots__ = ("clauses", "target", "_ordered", "_symbol_sets")
+    __slots__ = ("clauses", "target", "_symbol_sets")
     _fields = ("clauses", "target")
 
     def __init__(self, clauses: frozenset[DefiniteClause], target: str) -> None:
         set_field = object.__setattr__
         set_field(self, "clauses", clauses)
         set_field(self, "target", target)
-        set_field(self, "_ordered", None)
         set_field(self, "_symbol_sets", None)
 
     @classmethod
@@ -129,16 +128,8 @@ class Hypothesis(FrozenRecord):
     def ordered(self) -> tuple[DefiniteClause, ...]:
         """Canonical clause order: Identity instances before Tailrec ones,
         each group sorted by body symbol."""
-        ordered = self._ordered
-        if ordered is None:
-            ordered = tuple(
-                sorted(
-                    self.clauses,
-                    key=lambda c: (METARULES.index(c.metarule), _symbol_key(c.body_symbol)),
-                )
-            )
-            object.__setattr__(self, "_ordered", ordered)
-        return ordered
+        return tuple(sorted(self.clauses,
+                            key=lambda c: (c.metarule is TAILREC, _symbol_key(c.body_symbol))))
 
     @property
     def symbol_sets(self) -> tuple[frozenset, frozenset]:
@@ -155,33 +146,26 @@ class Hypothesis(FrozenRecord):
 
     @classmethod
     def from_text(cls, text: str) -> "Hypothesis":
-        identity = re.compile(r"^(\w+)\(A,B\)\s*:-\s*(\w+)\(A,B\)\.$")
-        tailrec = re.compile(r"^(\w+)\(A,B\)\s*:-\s*(\w+)\(A,C\),\s*(\w+)\(C,B\)\.$")
+        # An Identity clause; a Tailrec one reads (A,C) in place of its body's
+        # (A,B) and a recursive call after it.
+        clause = re.compile(r"^(\w+)\(A,B\)\s*:-\s*(\w+)\(A,(?:B|C\),\s*(\w+)\(C,B)\)\.$")
         clauses = []
-        target = None
         for n, line in enumerate(text_lines(text)):
             line = line.strip()
             if not line or line.startswith("%"):
                 continue
-            m = identity.match(line)
-            if m:
-                head, body = m.groups()
-                clauses.append(DefiniteClause(Metarule.IDENTITY, head, body))
-            else:
-                m = tailrec.match(line)
-                if not m:
-                    raise LearningError(f"line {n}: not a metarule instance: {line!r}")
-                head, body, rec = m.groups()
-                if rec != head:
-                    raise LearningError(f"line {n}: recursive call on {rec!r}, expected {head!r}")
-                clauses.append(DefiniteClause(Metarule.TAILREC, head, body))
-            if target is None:
-                target = clauses[-1].target
-            elif clauses[-1].target != target:
+            m = clause.match(line)
+            if not m:
+                raise LearningError(f"line {n}: not a metarule instance: {line!r}")
+            head, body, rec = m.groups()
+            if rec is not None and rec != head:
+                raise LearningError(f"line {n}: recursive call on {rec!r}, expected {head!r}")
+            if clauses and head != clauses[0].target:
                 raise LearningError(f"line {n}: mixed target predicates")
+            clauses.append(DefiniteClause(IDENTITY if rec is None else TAILREC, head, body))
         if not clauses:
             raise LearningError("no clauses in hypothesis text")
-        return cls.of(clauses, target)
+        return cls.of(clauses, clauses[0].target)
 
 
 class TupleBackground:
@@ -327,8 +311,8 @@ def learn(examples, background, *, target: str) -> Hypothesis:
     for goal, initials in initials_by_goal.items():
         identity, tailrec, reaching = _top_program(initials, goal, background)
         reaching_by_goal[goal] = reaching
-        clauses.update([_new_tuple(DefiniteClause, (IDENTITY, target, sym)) for sym in identity])
-        clauses.update([_new_tuple(DefiniteClause, (TAILREC, target, sym)) for sym in tailrec])
+        clauses.update([new_tuple(DefiniteClause, (IDENTITY, target, sym)) for sym in identity])
+        clauses.update([new_tuple(DefiniteClause, (TAILREC, target, sym)) for sym in tailrec])
         if not reaching.issuperset(initials):
             learnable = False
     if not learnable:

@@ -16,6 +16,7 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .grid import BLOCKED_BIT, DELTA, DIRECTIONS, FLOOR, PASSABLE_TILES, Coord, GridMap, blocked
+from .record import new_tuple
 
 
 class _Unknown:
@@ -126,9 +127,6 @@ def actions_to_text(actions: Iterable[GroundAction]) -> str:
     return "\n".join(a.as_line() for a in actions) + "\n"
 
 
-# Builds a NamedTuple that validates nothing without its Python-level __new__.
-_new_tuple = tuple.__new__
-
 # Per ``blocked`` mask, the (action name, dx, dy) of each open side, in
 # sorted action-name order: down, left, right, up.
 _STEPS = tuple(tuple(sorted((action_name(d), *DELTA[d]) for d in DIRECTIONS
@@ -160,12 +158,12 @@ class ActionBackground:
             if c is None:
                 continue
             # Each neighbour's step into ``c`` enters this map's own state.
-            own = _new_tuple(StateTerm, (grid.id, c, grid.tiles[c.y][c.x]))
+            own = new_tuple(StateTerm, (grid.id, c, grid.tiles[c.y][c.x]))
             for _, nxt in self.successors(own):
                 n = nxt.pos
                 i = n.y * grid.width + n.x
                 # A filled slot holds the step into ``c``: only None falls through.
-                old = steps[i] or self.successors(_new_tuple(StateTerm, (grid.id, n, UNKNOWN)))
+                old = steps[i] or self.successors(new_tuple(StateTerm, (grid.id, n, UNKNOWN)))
                 steps[i] = [(name, own if state.pos == c else state) for name, state in old]
 
     @staticmethod
@@ -201,8 +199,8 @@ class ActionBackground:
             j = i + dy * width + dx
             nxt = floor[j]
             if nxt is None:
-                nxt = floor[j] = _new_tuple(
-                    StateTerm, (map_id, _new_tuple(Coord, (x + dx, y + dy)), FLOOR))
+                nxt = floor[j] = new_tuple(
+                    StateTerm, (map_id, new_tuple(Coord, (x + dx, y + dy)), FLOOR))
             steps.append((name, nxt))
         self._steps[i] = self._layout_steps[i] = steps
         return steps
@@ -225,7 +223,7 @@ class ActionBackground:
                 if not inputs:
                     listing += steps
                 elif steps:
-                    here = _new_tuple(StateTerm, (map_id, _new_tuple(Coord, (x, y)), query[2]))
+                    here = new_tuple(StateTerm, (map_id, new_tuple(Coord, (x, y)), query[2]))
                     listing += [(name, here, nxt) for name, nxt in steps]
         listing.sort(key=itemgetter(0))
         return listing

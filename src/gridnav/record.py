@@ -12,6 +12,9 @@ so its ``__init__`` sets fields with ``object.__setattr__``.
 
 from __future__ import annotations
 
+# Builds a NamedTuple that validates nothing without its Python-level __new__.
+new_tuple = tuple.__new__
+
 
 class Record:
     """A mutable, unhashable record over the fields named in ``_fields``."""

@@ -13,10 +13,9 @@ from .model import (
     PlanningProblem,
     StateTerm,
     _DIRECTION_FOR_NAME,
-    _new_tuple,
     problem_from_map,
 )
-from .record import FrozenRecord
+from .record import FrozenRecord, new_tuple
 # Not called here; perfbench/selftest.py requires the binding (REQUIRED_BINDINGS).
 from .model import instantiate_actions  # noqa: F401
 
@@ -72,7 +71,7 @@ def solve(grid: GridMap, hypothesis: Hypothesis, problem: PlanningProblem | None
     here = StateTerm(grid.id, problem.initial.pos, grid.tile_at(problem.initial.pos))
     actions = []
     for name, nxt in steps:
-        actions.append(tuple.__new__(GroundAction, (name, here, nxt)))
+        actions.append(new_tuple(GroundAction, (name, here, nxt)))
         here = nxt
     labels = tuple([_DIRECTION_FOR_NAME[name] for name, _ in steps])
     return Plan(tuple(actions), labels, problem.initial, problem.goal)
@@ -132,11 +131,11 @@ def generate_behaviours(matrices, hypothesis: Hypothesis) -> tuple[tuple[FSCTupl
         label = observe(matrix, center)
         map_id, tiles = matrix.id, matrix.tiles
         background = ActionBackground(matrix)
-        initial = _new_tuple(StateTerm, (map_id, center, tiles[1][1]))
+        initial = new_tuple(StateTerm, (map_id, center, tiles[1][1]))
         for ch, d, goal_pos in zip(label, DIRECTIONS, _NEIGHBORS):
             if ch != "p":
                 continue
-            goal = _new_tuple(StateTerm, (map_id, goal_pos, tiles[goal_pos.y][goal_pos.x]))
+            goal = new_tuple(StateTerm, (map_id, goal_pos, tiles[goal_pos.y][goal_pos.x]))
             steps = first_derivation(background, hypothesis, initial, goal)
             if steps is None:
                 raise UnsolvableError(f"matrix {matrix.id!r} has no {d} behaviour")

@@ -141,6 +141,13 @@ class TestGridMapInvariants:
         assert len(grid.passable_cells()) == 4
         assert grid.start is None and grid.end is None
 
+    @pytest.mark.parametrize("x,y", [(-1, 0), (0, -1), (2, 0), (0, 1)])
+    def test_tile_at_off_the_map_raises(self, x, y):
+        grid = GridMap.from_rows("pair", ["se"])
+        assert grid.tile_at(Coord(1, 0)) == "e"
+        with pytest.raises(MapError, match=f"^map 'pair': coordinate {x}/{y} out of bounds$"):
+            grid.tile_at(Coord(x, y))
+
     def test_duplicate_tiles_rejected(self):
         with pytest.raises(MapError, match="multiple"):
             GridMap.from_rows("bad", ["ss"])

@@ -389,7 +389,32 @@ class TestHypothesisText:
         with pytest.raises(Exception):
             Hypothesis.from_text("s(A,B) :- step_up(A,C), t(C,B).\n")
 
-    def test_clause_order_is_sorted_once(self, monkeypatch):
+    def test_recursive_call_error_names_both_predicates(self):
+        with pytest.raises(LearningError,
+                           match=r"^line 1: recursive call on 't', expected 's'$"):
+            Hypothesis.from_text("s(A,B) :- step_up(A,B).\ns(A,B) :- step_up(A,C), t(C,B).\n")
+
+    @pytest.mark.parametrize("second", ["t(A,B) :- step_up(A,B).",
+                                        "t(A,B) :- step_up(A,C), t(C,B)."])
+    def test_rejects_mixed_target_predicates(self, second):
+        # Comment and blank lines count in the line number.
+        text = f"% solver\ns(A,B) :- step_up(A,B).\n\n{second}\n"
+        with pytest.raises(LearningError, match=r"^line 3: mixed target predicates$"):
+            Hypothesis.from_text(text)
+
+    @pytest.mark.parametrize("text", ["", "\n \n", "% a comment\n  % another\n"])
+    def test_rejects_text_without_clauses(self, text):
+        with pytest.raises(LearningError, match=r"^no clauses in hypothesis text$"):
+            Hypothesis.from_text(text)
+
+    def test_controller_clause_text_names_the_tuple(self):
+        body = FSCTuple("q0", "upuu", "right", "q1")
+        assert (DefiniteClause(Metarule.IDENTITY, "c", body).to_text()
+                == "c(A,B) :- tuple(q0,upuu,right,q1,A,B).")
+        assert (DefiniteClause(Metarule.TAILREC, "c", body).to_text()
+                == "c(A,B) :- tuple(q0,upuu,right,q1,A,C), c(C,B).")
+
+    def test_planning_never_sorts_the_clauses(self, monkeypatch):
         hypothesis = Hypothesis.from_text(SOLVER_TEXT)
         keys = []
         original = mil._symbol_key
@@ -402,11 +427,12 @@ class TestHypothesisText:
         assert hypothesis.to_text() == SOLVER_TEXT
         assert list(hypothesis) == list(hypothesis.ordered())
         assert body_symbols(hypothesis, Metarule.IDENTITY) == body_symbols(hypothesis, Metarule.TAILREC)
+        keys.clear()
         grid = parse_map("se", "pair")
         problem = problem_from_map(grid)
         for _ in range(2):
             first_derivation(ActionBackground(grid), hypothesis, problem.initial, problem.goal)
-        assert len(keys) == len(hypothesis)
+        assert keys == []
 
 
     def test_symbol_sets_are_built_once(self):

@@ -78,6 +78,13 @@ class TestUpdate:
         slam_update(slam, "ppuu")
         assert slam.cells == snapshot
 
+    def test_explicit_unobserved_cells_take_the_evidence(self):
+        neighbours = [(0, 1), (1, 0), (0, -1), (-1, 0)]
+        slam = SlamMap({n: UNOBSERVED for n in neighbours})
+        slam_update(slam, "ppuu")
+        assert [slam.cells[n] for n in neighbours] == [PASSABLE, PASSABLE, UNPASSABLE, UNPASSABLE]
+        assert slam.cells[(0, 0)] == VISITED
+
     def test_visited_never_downgrades(self):
         slam = slam_update(SlamMap(), "puuu")
         slam_move(slam, "up")

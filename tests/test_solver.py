@@ -6,6 +6,7 @@ import pytest
 
 from gridnav import (
     Coord,
+    Hypothesis,
     PlanningError,
     PlanningProblem,
     StateTerm,
@@ -83,6 +84,17 @@ class TestSolve:
         state = StateTerm("pair", Coord(0, 0), "s")
         with pytest.raises(PlanningError, match="at least one action"):
             solve(grid, solver_hypothesis, PlanningProblem("pair", state, state))
+
+    def test_empty_hypothesis_rejected(self, maze_a):
+        with pytest.raises(PlanningError, match="^hypothesis is empty$"):
+            solve(maze_a, Hypothesis.of((), "s"))
+
+    def test_unbound_initial_position_rejected(self, solver_hypothesis):
+        grid = parse_map("se", "pair")
+        problem = problem_from_map(grid)
+        initial = StateTerm("pair", UNKNOWN, "s")
+        with pytest.raises(PlanningError, match="^initial state must bind a position$"):
+            solve(grid, solver_hypothesis, PlanningProblem("pair", initial, problem.goal))
 
     def test_wrong_map_rejected(self, solver_hypothesis, maze_a):
         problem = problem_from_map(parse_map("se", "pair"))

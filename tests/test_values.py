@@ -350,9 +350,8 @@ def test_named_tuple_records_also_equal_their_plain_tuples(samples):
 
 def test_lazy_values_are_built_on_first_use(solver_hypothesis, learned_controller):
     hypothesis = Hypothesis.of(solver_hypothesis.clauses, "s")
-    assert hypothesis._ordered is None and hypothesis._symbol_sets is None
+    assert hypothesis._symbol_sets is None
     assert hypothesis.to_text() == solver_hypothesis.to_text()
-    assert hypothesis._ordered is hypothesis.ordered()
     assert hypothesis._symbol_sets is None
     assert hypothesis.symbol_sets is hypothesis._symbol_sets is not None
     controller = FSC(learned_controller.tuples)

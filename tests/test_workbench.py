@@ -5,6 +5,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -184,6 +185,14 @@ class TestExperiments:
         with pytest.raises(ValueError):
             run_single("teleport", maze_a)
 
+    def test_solver_agent_needs_a_hypothesis(self, learned_controller, maze_a):
+        with pytest.raises(ValueError, match="^solver agent needs a hypothesis$"):
+            run_single("solver", maze_a, controller=learned_controller)
+
+    def test_controller_agent_needs_a_controller(self, solver_hypothesis, maze_a):
+        with pytest.raises(ValueError, match="^agent 'fsc-bt' needs a controller$"):
+            run_single("fsc-bt", maze_a, solver=solver_hypothesis)
+
     def test_solver_rejects_a_step_budget(self, solver_hypothesis, maze_a):
         with pytest.raises(ValueError, match="controller agents only"):
             run_single("solver", maze_a, solver=solver_hypothesis, step_budget=100)
@@ -315,6 +324,28 @@ class TestCli:
         result = run_cli("gen", "maze", "20", "21")
         assert result.returncode != 0
         assert "odd" in result.stderr
+
+    @pytest.mark.parametrize("kind", ["maze", "lake"])
+    def test_gen_beyond_the_index_range_is_an_error(self, capsys, kind):
+        width = 10**19 + 1
+        tracemalloc.start()
+        try:
+            status = cli_main(["gen", kind, str(width), "5"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert status == 2 and peak < 1 << 20
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {kind} dimensions {width}x5 exceed {sys.maxsize} cells\n"
+
+    def test_out_of_memory_is_an_error_line(self, capsys, monkeypatch):
+        def exhausted(width, height, seed):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "generate_maze", exhausted)
+        assert cli_main(["gen", "maze", "99999999999", "5"]) == 2
+        assert capsys.readouterr() == ("", "error: out of memory\n")
 
     def test_learn_solver_deterministic_file(self, tmp_path):
         first = tmp_path / "a.pl"
