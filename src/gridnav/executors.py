@@ -179,10 +179,9 @@ def run_backtracking(fsc: FSC, env, cfg: ExecutorConfig) -> ExecutionResult:
     At each state the executor tries the lookup pairs for (q, o) in order;
     a dead end restores the environment to the choice point.  States already
     seen (by checkpoint token) are pruned, so the search visits each
-    environment state at most once and always halts.  Under SLAM no
-    ``visited`` set is kept: SLAM vetoes every move into a visited cell, so
-    each accepted move's token is new.  Requires an environment with
-    checkpoint support, so it only runs in simulation.
+    environment state at most once and always halts.  Under SLAM the rule
+    never prunes: SLAM vetoes every move into a visited cell.  Requires an
+    environment with checkpoint support, so it only runs in simulation.
     """
     if not getattr(env, "supports_checkpoint", False):
         raise ExecutorError("backtracking executor needs checkpoint/restore support")
@@ -193,7 +192,7 @@ def run_backtracking(fsc: FSC, env, cfg: ExecutorConfig) -> ExecutionResult:
     if slam is not None:
         slam_update(slam, obs)
     at = checkpoint()  # the environment's state: restoring it is a no-op
-    visited = {at} if slam is None else None
+    visited = {at}
 
     def kept_trace(frames) -> tuple[TraceStep, ...]:
         """A TraceStep of the pair last tried at each frame."""
@@ -230,10 +229,9 @@ def run_backtracking(fsc: FSC, env, cfg: ExecutorConfig) -> ExecutionResult:
         if at_goal:
             return _result(SOLVED, kept_trace(stack), env, slam)
         at = checkpoint()
-        if visited is not None:
-            if at in visited:
-                continue
-            visited.add(at)
+        if at in visited:
+            continue
+        visited.add(at)
         stack.append([q_next, obs2, at, slam.pose if slam is not None else None,
                       lookup(q_next, obs2), 0])
     return _result(EXHAUSTED, (), env, slam)

@@ -9,7 +9,8 @@ no container in the package mixes the two.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import groupby, product
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .grid import DIRECTIONS, OPPOSITE, PASSABLE_TILES, Coord, GridMap, MapError, blocked, text_lines
@@ -123,26 +124,21 @@ class FSC(FrozenRecord):
         return pairs.get((q, o), ())
 
     def _index_pairs(self) -> dict[tuple[str, str], tuple[tuple[str, str], ...]]:
-        """The sorted lookup pairs of every (q, o) key the tuples name; built
-        on the first lookup, so controllers that are only learned or printed
-        never pay for it."""
-        grouped: dict[tuple[str, str], list[tuple[str, str]]] = {}
-        for t in self.tuples:
-            grouped.setdefault((t.q, t.o), []).append((t.a, t.q_next))
-        pairs = {
-            key: tuple(sorted(pairs, key=lambda p: (_A_INDEX[p[0]], _Q_INDEX[p[1]])))
-            for key, pairs in grouped.items()
-        }
+        """The lookup pairs of every (q, o) key the tuples name, grouped off
+        ``ordered()``, which lists each key's pairs in lookup order; built on
+        first use, so controllers that are only learned or printed never pay
+        for it."""
+        pairs = {key: tuple(t[2:] for t in group)
+                 for key, group in groupby(self.ordered(), itemgetter(0, 1))}
         object.__setattr__(self, "_pairs", pairs)
         return pairs
 
     def is_deterministic(self) -> bool:
-        seen = set()
-        for t in self.tuples:
-            if (t.q, t.o) in seen:
-                return False
-            seen.add((t.q, t.o))
-        return True
+        """True when no (q, o) key has more than one lookup pair."""
+        pairs = self._pairs
+        if pairs is None:
+            pairs = self._index_pairs()
+        return all(len(group) == 1 for group in pairs.values())
 
     def ordered(self) -> tuple[FSCTuple, ...]:
         return tuple(sorted(self.tuples, key=lambda t: (_Q_INDEX[t.q], t.o, _A_INDEX[t.a], _Q_INDEX[t.q_next])))

@@ -232,11 +232,13 @@ def _place_endpoints(rows: list[list[str]], map_id: str, width: int, height: int
 
 def _check_size(kind: str, width: int, height: int) -> None:
     """Raise ``MapError`` unless both sides are at least 5 and a ``Layout``
-    table of ``width * height`` slots can be indexed."""
+    table of ``width * height`` slots can be indexed, and ``MemoryError``
+    unless one such table fits in memory, before any row is built."""
     if width < 5 or height < 5:
         raise MapError(f"{kind} dimensions must be at least 5x5, got {width}x{height}")
     if width * height > sys.maxsize:
         raise MapError(f"{kind} dimensions {width}x{height} exceed {sys.maxsize} cells")
+    [None] * (width * height)
 
 
 def _check_maze_size(width: int, height: int) -> None:

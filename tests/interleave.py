@@ -19,12 +19,13 @@ Each run's time is its best over the rounds.  Every output is compared
 between the two sides: run outcomes, steps, labels and paths, plan actions
 and the learned programs.  It prints, per agent, the sum of best times on
 each side and the speed ratio parent/change (above 1 when the change is
-faster), and exits 1 if any output differs.
+faster), and exits 1 if any output differs and 2 if a side is neither a
+tree nor a git revision.
 
 pytest does not collect this file.  Run it from the repository root:
 
     python tests/interleave.py --parent HEAD --change .
-    python tests/interleave.py --parent . --change . --rounds 1 --rolls 1 --mazes 1
+    python tests/interleave.py --parent HEAD~1 --change . --rounds 1 --rolls 24 --mazes 2
 
 A tree whose ``fixtures`` module reads the files of the package named
 ``gridnav`` finds them in the change side's package when loaded as the
@@ -59,9 +60,11 @@ def tree_of(where: str, scratch: Path) -> Path:
     if (path / "src" / "gridnav" / "__init__.py").is_file():
         return path.resolve()
     archive = subprocess.run(["git", "-C", str(REPO), "archive", "--format=tar", where, "src"],
-                             check=True, capture_output=True).stdout
+                             capture_output=True)
+    if archive.returncode != 0:
+        raise ValueError(f"{where!r} is neither a tree nor a git revision")
     target = scratch / where.replace("/", "_")
-    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
         if hasattr(tarfile, "data_filter"):
             tar.extractall(target, filter="data")
         else:
@@ -147,8 +150,12 @@ def main(argv=None) -> int:
     if "gridnav" in sys.modules:
         parser.error("gridnav is already imported")
     with tempfile.TemporaryDirectory() as scratch:
-        change_tree = tree_of(args.change, Path(scratch))
-        parent_tree = tree_of(args.parent, Path(scratch))
+        try:
+            change_tree = tree_of(args.change, Path(scratch))
+            parent_tree = tree_of(args.parent, Path(scratch))
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         change = load(change_tree, "gridnav")
         parent = load(parent_tree, "gridnav_parent")
         rolls = lake_rolls(change, args.rolls, args.seed)

@@ -128,6 +128,31 @@ class TestLookup:
                     assert fsc.lookup(q, o) == reference_lookup(fsc, q, o), (q, o)
         assert nondeterministic.lookup("q9", "zzzz") == ()
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_controllers_match_the_definitions(self, seed):
+        """Deterministic means one tuple per (q, o) key, and the index's pairs
+        are the scan's, on random subsets of the universe: any size, a few
+        tuples, one tuple for each of some keys, and none."""
+        rng = random.Random(seed)
+        universe = sorted(tuple_universe())
+        by_key: dict[tuple[str, str], list[FSCTuple]] = {}
+        for t in universe:
+            by_key.setdefault((t.q, t.o), []).append(t)
+        one_per_key = [rng.choice(group) for group in by_key.values() if rng.random() < 0.5]
+        subsets = (rng.sample(universe, rng.randint(1, len(universe))),
+                   rng.sample(universe, rng.randint(1, 12)), one_per_key, ())
+        for tuples in subsets:
+            keys = {(t.q, t.o) for t in tuples}
+            # One copy is indexed by is_deterministic, the other by lookup.
+            first, second = FSC.of(tuples), FSC.of(tuples)
+            assert first.is_deterministic() == (len(keys) == len(tuples))
+            for q in CONTROLLER_STATES:
+                for o in OBSERVATION_LABELS:
+                    expected = reference_lookup(first, q, o)
+                    assert first.lookup(q, o) == second.lookup(q, o) == expected, (q, o)
+            assert second.is_deterministic() == first.is_deterministic()
+        assert FSC.of(one_per_key).is_deterministic() and FSC.of(()).is_deterministic()
+
     def test_example_controllers_are_deterministic(self, controller_a, controller_b):
         assert controller_a.is_deterministic()
         assert controller_b.is_deterministic()

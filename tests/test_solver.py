@@ -27,13 +27,6 @@ from gridnav import (
 from test_fsc import is_chained
 
 
-def trace_positions(grid, labels):
-    positions = [grid.start]
-    for label in labels:
-        positions.append(positions[-1].shifted(label))
-    return positions
-
-
 class TestSolve:
     def test_minimal_map_one_step(self, solver_hypothesis):
         grid = parse_map("se", "pair")

@@ -339,6 +339,23 @@ class TestCli:
         assert out == ""
         assert err == f"error: {kind} dimensions {width}x5 exceed {sys.maxsize} cells\n"
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS and ru_maxrss in KiB")
+    @pytest.mark.parametrize("kind", ["maze", "lake"])
+    def test_gen_beyond_memory_fails_at_once(self, kind):
+        """A tall map whose cells can be indexed but not held fails before
+        any row is built: a child capped at 1 GB of address space exits 2
+        with one line, well under the cap."""
+        child = ("import resource, sys\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                 "from gridnav.cli import main\n"
+                 "status = main(sys.argv[1:])\n"
+                 "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+                 "sys.exit(status)\n")
+        result = subprocess.run([sys.executable, "-c", child, "gen", kind, "5", str(10**14 + 1)],
+                                capture_output=True, text=True, timeout=30)
+        assert (result.returncode, result.stderr) == (2, "error: out of memory\n")
+        assert int(result.stdout) < 200 * 1024
+
     def test_out_of_memory_is_an_error_line(self, capsys, monkeypatch):
         def exhausted(width, height, seed):
             raise MemoryError
